@@ -18,6 +18,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <future>
@@ -441,29 +443,39 @@ void OverheadSection() {
 
   serverless::PlatformConfig config;
   config.max_inflight = 4;
+  // Admit every burst whole. Under the default backlog bound (256 x the
+  // in-flight window = 1024) a submitter faster than the drain sheds part of
+  // a burst with ResourceExhausted.
+  config.scheduler.limits.max_queued = requests;
   Rig rig(config);
   if (!rig.Deploy("fn-overhead", {})) return;
 
+  // A failed request fails the probe: say why and exit non-zero, so a caller
+  // never reads a missing overhead_pct as a measurement.
+  auto check = [](const Status& status) {
+    if (status.ok()) return;
+    std::fprintf(stderr, "overhead probe: burst request failed: %s\n",
+                 status.ToString().c_str());
+    std::exit(1);
+  };
   auto burst = [&](int count) -> double {
     std::vector<std::future<serverless::InvocationResult>> futures;
     futures.reserve(count);
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < count; ++i) {
       auto request = rig.Request(static_cast<uint64_t>(i % 8) + 2);
-      if (!request.ok()) return -1.0;
+      check(request.status());
       futures.push_back(
           rig.platform->InvokeAsync("fn-overhead", std::move(*request)));
     }
-    for (auto& future : futures) {
-      if (!future.get().response.ok()) return -1.0;
-    }
+    for (auto& future : futures) check(future.get().response.status());
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
         .count();
   };
 
   // Warm-up: container + every runtime slot touched before any measurement.
-  if (burst(requests) < 0) return;
+  burst(requests);
 
   // Alternating in-process pairs so frequency scaling / cache state hits both
   // modes equally. Each pair runs both modes back-to-back, so its delta
@@ -477,7 +489,7 @@ void OverheadSection() {
   for (int i = 0; i < pairs; ++i) {
     obs::Tracer::Reset(1 << 18);
     obs::Tracer::Enable();
-    if (burst(256) < 0) return;  // allocate per-thread rings off the clock
+    burst(256);  // allocate per-thread rings off the clock
     double on = -1.0, off = -1.0;
     if (i % 2 == 0) {
       on = burst(requests);
@@ -490,7 +502,6 @@ void OverheadSection() {
       on = burst(requests);
       obs::Tracer::Disable();
     }
-    if (off < 0 || on < 0) return;
     off_walls.push_back(off);
     on_walls.push_back(on);
     deltas.push_back((1.0 - off / on) * 100.0);

@@ -53,7 +53,9 @@ class ModelRuntime {
   virtual Result<std::vector<Bytes>> ExecuteBatch(const std::vector<ByteSpan>& inputs);
 };
 
-/// Factory for loaded models and runtimes; one implementation per framework.
+/// Factory for loaded models and runtimes. Both kinds share one executor
+/// implementation: TVM packs weights at MODEL_LOAD, TFLM reads them in place.
+/// A model loaded under one kind is rejected by the other's CreateRuntime.
 class InferenceFramework {
  public:
   virtual ~InferenceFramework() = default;

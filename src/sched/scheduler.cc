@@ -46,25 +46,6 @@ Status RequestScheduler::Submit(QueuedRequest request, uint64_t payload_bytes) {
   return Status::OK();
 }
 
-bool RequestScheduler::PopOne(ClassMask classes, QueuedRequest* out,
-                              std::vector<QueuedRequest>* expired) {
-  const bool shed = queue_.policy_kind() == PolicyKind::kDeadlineEdf;
-  for (;;) {
-    if (!queue_.PopNext(classes, out)) return false;
-    const TimeMicros now = clock_->Now();
-    admission_.OnDequeue(out->function, out->payload_bytes);
-    if (shed && out->deadline != kNoDeadline && out->deadline < now) {
-      drops_.fetch_add(1, std::memory_order_relaxed);
-      if (expired != nullptr) expired->push_back(std::move(*out));
-      continue;
-    }
-    RecordWait(out->priority, now - out->enqueue_time);
-    batcher_.RecordDispatch(1);
-    dispatched_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-}
-
 std::vector<QueuedRequest> RequestScheduler::PopBatch(
     ClassMask classes, std::vector<QueuedRequest>* expired) {
   std::vector<QueuedRequest> batch;

@@ -57,7 +57,7 @@ struct SchedStats {
 
 /// The request scheduler: admission gate -> weighted-fair queues -> policy
 /// pop -> same-model coalescing. Passive — it never runs requests itself;
-/// the platform's dispatcher tasks call PopBatch from pool workers.
+/// the platform's dispatcher tasks and RT lanes call PopBatch.
 ///
 /// \threadsafety All methods safe to call concurrently. Submit contends only
 /// on the target function's shard; PopBatch serializes on the queue's pop
@@ -92,18 +92,11 @@ class RequestScheduler {
 
   /// Class-restricted PopBatch: considers only priority classes in
   /// `classes`. The bulk tier's dispatchers pass the non-interactive mask so
-  /// RT-routed work is never stolen onto a pool worker; with kAllClasses the
-  /// behavior is exactly the unmasked PopBatch.
+  /// RT-routed work is never stolen onto a pool worker, and the RT lanes pass
+  /// the interactive mask; with kAllClasses the behavior is exactly the
+  /// unmasked PopBatch.
   std::vector<QueuedRequest> PopBatch(ClassMask classes,
                                       std::vector<QueuedRequest>* expired);
-
-  /// The RT tier's latency-first pop: exactly one request from `classes`, in
-  /// policy order, bypassing the batcher's same-model lookahead (coalescing
-  /// trades head latency for throughput — the wrong trade for the
-  /// interactive class). Expired-deadline shedding and queue-wait sampling
-  /// match PopBatch. Returns false when the masked classes are empty.
-  bool PopOne(ClassMask classes, QueuedRequest* out,
-              std::vector<QueuedRequest>* expired);
 
   size_t TotalDepth() const { return queue_.TotalDepth(); }
   size_t DepthInClasses(ClassMask classes) const {

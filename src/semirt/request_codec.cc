@@ -39,18 +39,6 @@ Result<Bytes> EncryptRequestPayload(ByteSpan request_key, const std::string& mod
                               input);
 }
 
-Result<Bytes> DecryptRequestPayload(ByteSpan request_key, const std::string& model_id,
-                                    ByteSpan sealed) {
-  return crypto::GcmOpenParts(request_key, RequestAadPrefix(), SpanOf(model_id),
-                              sealed);
-}
-
-Result<Bytes> EncryptResultPayload(ByteSpan request_key, const std::string& model_id,
-                                   ByteSpan output) {
-  return crypto::GcmSealParts(request_key, ResultAadPrefix(), SpanOf(model_id),
-                              output);
-}
-
 Result<Bytes> DecryptResultPayload(ByteSpan request_key, const std::string& model_id,
                                    ByteSpan sealed) {
   return crypto::GcmOpenParts(request_key, ResultAadPrefix(), SpanOf(model_id),

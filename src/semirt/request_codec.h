@@ -21,24 +21,19 @@ struct InferenceRequest {
   static Result<InferenceRequest> Parse(ByteSpan wire);
 };
 
-/// Encrypt an input tensor under K_R. The AAD binds direction and model id,
-/// so a request ciphertext cannot be replayed as a response or re-targeted
-/// at a different model.
+/// The user side: encrypt an input tensor under K_R, and open the result the
+/// enclave sealed under the same K_R (paper §III step 6). The AAD binds
+/// direction and model id, so a request ciphertext cannot be replayed as a
+/// response or re-targeted at a different model.
 Result<Bytes> EncryptRequestPayload(ByteSpan request_key, const std::string& model_id,
                                     ByteSpan input);
-Result<Bytes> DecryptRequestPayload(ByteSpan request_key, const std::string& model_id,
-                                    ByteSpan sealed);
-
-/// Encrypt an inference result under the same K_R (paper §III step 6).
-Result<Bytes> EncryptResultPayload(ByteSpan request_key, const std::string& model_id,
-                                   ByteSpan output);
 Result<Bytes> DecryptResultPayload(ByteSpan request_key, const std::string& model_id,
                                    ByteSpan sealed);
 
-/// A K_R cipher context reused across a same-session batch: the AES key
-/// schedule and GHASH tables are built once per batch instead of once per
-/// message (they dominate small-payload GCM cost). Produces/consumes exactly
-/// the same wire format as the one-shot helpers above.
+/// The enclave side: a K_R cipher context reused across a same-session
+/// batch. The AES key schedule and GHASH tables are built once per batch
+/// instead of once per message (they dominate small-payload GCM cost).
+/// Produces/consumes exactly the wire format of the user-side helpers above.
 ///
 /// \threadsafety Immutable after construction; safe to share across threads.
 class RequestCipher {

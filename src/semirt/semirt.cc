@@ -1,5 +1,6 @@
 #include "semirt/semirt.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -26,6 +27,31 @@ void EmitStage(const char* name, TimeMicros duration) {
   const TimeMicros end = obs::Tracer::Now();
   obs::Tracer::EmitSpan(obs::Tracer::Current(), name,
                         end - (duration > 0 ? duration : 0), end);
+}
+
+/// The enclave image a deployment of `options` launches. It covers the
+/// runtime core, the inference framework, the expected KeyService identity
+/// (Appendix A), and the execution-restriction configuration (§V) — but never
+/// model weights or keys. MeasurementFor (the identity users attest) and
+/// Initialize (the enclave a launch creates) both build it here, so the two
+/// cannot drift apart.
+sgx::EnclaveImage ImageFor(const SemirtOptions& options) {
+  std::vector<std::pair<std::string, Bytes>> units = {
+      {"semirt-core", ToBytes("sesemi semirt runtime v1")},
+      {"inference-framework",
+       ToBytes(std::string("framework:") + inference::ToString(options.framework) +
+               (options.quantize ? "+int8" : ""))},
+      {"keyservice-identity",
+       ToBytes(keyservice::KeyServiceEnclave::ExpectedMeasurement().ToHex())},
+  };
+  sgx::EnclaveConfig config;
+  config.heap_size_bytes = options.heap_size_bytes;
+  config.num_tcs = options.num_tcs;
+  config.sequential_mode = options.sequential_mode;
+  config.disable_key_cache = options.disable_key_cache;
+  config.fixed_model_id = options.fixed_model_id;
+  config.round_scores_decimals = static_cast<uint32_t>(options.round_scores_decimals);
+  return sgx::EnclaveImage("semirt", std::move(units), config);
 }
 
 /// §IV-D model-extraction mitigation: quantize the raw float32 output to
@@ -71,26 +97,7 @@ std::string SemirtInstance::PlainModelObjectKey(const std::string& model_id) {
 }
 
 sgx::Measurement SemirtInstance::MeasurementFor(const SemirtOptions& options) {
-  // The enclave image covers the runtime core, the inference framework, the
-  // expected KeyService identity (Appendix A), and the execution-restriction
-  // configuration (§V) — but never model weights or keys.
-  std::vector<std::pair<std::string, Bytes>> units = {
-      {"semirt-core", ToBytes("sesemi semirt runtime v1")},
-      {"inference-framework",
-       ToBytes(std::string("framework:") + inference::ToString(options.framework) +
-               (options.quantize ? "+int8" : ""))},
-      {"keyservice-identity",
-       ToBytes(keyservice::KeyServiceEnclave::ExpectedMeasurement().ToHex())},
-  };
-  sgx::EnclaveConfig config;
-  config.heap_size_bytes = options.heap_size_bytes;
-  config.num_tcs = options.num_tcs;
-  config.sequential_mode = options.sequential_mode;
-  config.disable_key_cache = options.disable_key_cache;
-  config.fixed_model_id = options.fixed_model_id;
-  config.round_scores_decimals = static_cast<uint32_t>(options.round_scores_decimals);
-  sgx::EnclaveImage image("semirt", std::move(units), config);
-  return image.mrenclave();
+  return ImageFor(options).mrenclave();
 }
 
 Result<std::unique_ptr<SemirtInstance>> SemirtInstance::Create(
@@ -139,24 +146,7 @@ SemirtInstance::~SemirtInstance() { ClearExecutionContext(); }
 Status SemirtInstance::Initialize() {
   if (options_.mode == RuntimeMode::kUntrusted) return Status::OK();
   obs::Span span(obs::spans::kEnclaveInit);
-
-  std::vector<std::pair<std::string, Bytes>> units = {
-      {"semirt-core", ToBytes("sesemi semirt runtime v1")},
-      {"inference-framework",
-       ToBytes(std::string("framework:") + inference::ToString(options_.framework) +
-               (options_.quantize ? "+int8" : ""))},
-      {"keyservice-identity",
-       ToBytes(keyservice::KeyServiceEnclave::ExpectedMeasurement().ToHex())},
-  };
-  sgx::EnclaveConfig config;
-  config.heap_size_bytes = options_.heap_size_bytes;
-  config.num_tcs = options_.num_tcs;
-  config.sequential_mode = options_.sequential_mode;
-  config.disable_key_cache = options_.disable_key_cache;
-  config.fixed_model_id = options_.fixed_model_id;
-  config.round_scores_decimals = static_cast<uint32_t>(options_.round_scores_decimals);
-  sgx::EnclaveImage image("semirt", std::move(units), config);
-  SESEMI_ASSIGN_OR_RETURN(enclave_, platform_->CreateEnclave(image));
+  SESEMI_ASSIGN_OR_RETURN(enclave_, platform_->CreateEnclave(ImageFor(options_)));
   link_ = std::make_unique<KeyServiceLink>(
       keyservice_, keyservice::KeyServiceEnclave::ExpectedMeasurement());
   return Status::OK();
@@ -364,11 +354,44 @@ Status SemirtInstance::EnsureRuntime(
 Result<Bytes> SemirtInstance::HandleRequest(const InferenceRequest& request,
                                             StageTimings* timings,
                                             const ExecDeadline* deadline) {
-  if (request.model_id.empty() || request.encrypted_input.empty()) {
-    return Status::InvalidArgument("empty model id or input");
+  return std::move(HandleRequestBatch({&request}, timings, deadline).front());
+}
+
+std::vector<Result<Bytes>> SemirtInstance::HandleRequestBatch(
+    const std::vector<const InferenceRequest*>& batch, StageTimings* timings,
+    const ExecDeadline* deadline) {
+  std::vector<Result<Bytes>> results(
+      batch.size(), Status::Aborted("request dropped before execution"));
+  StageTimings local;
+  StageTimings* t = timings != nullptr ? timings : &local;
+  // The baselines and sequential isolation set up and tear down around every
+  // request (and kUntrusted serves plaintext per request), so they run the
+  // same pipeline one request per pass.
+  const size_t step =
+      options_.mode == RuntimeMode::kSesemi && !options_.sequential_mode
+          ? batch.size()
+          : 1;
+  for (size_t i = 0; i < batch.size(); i += step) {
+    const TimeMicros start = NowMicros();
+    const std::span<Result<Bytes>> out(results.data() + i, step);
+    Status shared = RunPipeline({batch.data() + i, step}, t, deadline, out);
+    if (!shared.ok()) std::fill(out.begin(), out.end(), shared);
+    t->total = NowMicros() - start;
+  }
+  return results;
+}
+
+Status SemirtInstance::RunPipeline(std::span<const InferenceRequest* const> batch,
+                                   StageTimings* t, const ExecDeadline* deadline,
+                                   std::span<Result<Bytes>> results) {
+  const InferenceRequest& head = *batch.front();
+  const bool trusted = options_.mode != RuntimeMode::kUntrusted;
+  if (head.model_id.empty() || head.encrypted_input.empty() ||
+      (trusted && head.user_id.empty())) {
+    return Status::InvalidArgument("empty model id, user id or input");
   }
   if (!options_.fixed_model_id.empty() &&
-      request.model_id != options_.fixed_model_id) {
+      head.model_id != options_.fixed_model_id) {
     return Status::PermissionDenied("enclave is fixed to model " +
                                     options_.fixed_model_id);
   }
@@ -376,219 +399,11 @@ Result<Bytes> SemirtInstance::HandleRequest(const InferenceRequest& request,
     return Status::DeadlineExceeded("deadline passed before execution");
   }
 
-  StageTimings local;
-  StageTimings* t = timings != nullptr ? timings : &local;
-  const TimeMicros start = NowMicros();
-
   obs::Span span(obs::spans::kRequest);
-  int slot = AcquireSlot();
-  Result<Bytes> result = options_.mode == RuntimeMode::kUntrusted
-                             ? HandleUntrusted(request, slot, t, deadline)
-                             : HandleTrusted(request, slot, t, deadline);
-  ReleaseSlot(slot);
-  t->total = NowMicros() - start;
-  return result;
-}
-
-std::vector<Result<Bytes>> SemirtInstance::HandleRequestBatch(
-    const std::vector<const InferenceRequest*>& batch, StageTimings* timings,
-    const ExecDeadline* deadline) {
-  std::vector<Result<Bytes>> results;
-  results.reserve(batch.size());
-  if (batch.empty()) return results;
-
-  // Baseline modes keep their per-request setup/teardown semantics; a batch
-  // of one gains nothing from the batched plumbing.
-  if (batch.size() == 1 || options_.mode != RuntimeMode::kSesemi ||
-      options_.sequential_mode) {
-    for (const InferenceRequest* request : batch) {
-      results.push_back(HandleRequest(*request, timings, deadline));
-    }
-    return results;
-  }
-
-  results.assign(batch.size(),
-                 Status::Aborted("request dropped before execution"));
-  const InferenceRequest& head = *batch[0];
-
-  StageTimings local;
-  StageTimings* t = timings != nullptr ? timings : &local;
-  const TimeMicros start = NowMicros();
-
-  auto fail_all = [&](const Status& status) {
-    for (auto& r : results) r = status;
-    t->total = NowMicros() - start;
-  };
-
-  if (head.model_id.empty() || head.user_id.empty()) {
-    fail_all(Status::InvalidArgument("empty model or user id"));
-    return results;
-  }
-  if (!options_.fixed_model_id.empty() &&
-      head.model_id != options_.fixed_model_id) {
-    fail_all(Status::PermissionDenied("enclave is fixed to model " +
-                                      options_.fixed_model_id));
-    return results;
-  }
-  if (deadline != nullptr && deadline->Expired()) {
-    fail_all(Status::DeadlineExceeded("deadline passed before execution"));
-    return results;
-  }
-
-  // Cooperative deadline cut between stages (never mid-inference).
-  auto deadline_cut = [&](const char* stage) -> bool {
-    if (deadline == nullptr) return false;
-    Status cut = deadline->Check(stage);
-    if (cut.ok()) return false;
-    fail_all(cut);
-    return true;
-  };
-
-  // One slot, one enclave entry for the whole batch — the other TCS slots
-  // stay free for concurrent (unbatched or other-session) traffic.
-  const int slot = AcquireSlot();
-  if (FaultInjector::AnyArmed()) {
-    Status fault = FaultInjector::Instance().Evaluate(faults::kEcallEnter);
-    if (!fault.ok()) {
-      ReleaseSlot(slot);
-      fail_all(fault);
-      return results;
-    }
-  }
-  {
-    obs::Span ecall(obs::spans::kEcall);
-    ecall.set_arg("batch_size", static_cast<int64_t>(batch.size()));
-    sgx::TcsGuard tcs = enclave_->EnterEcall();
-    bool key_fetched = false, model_loaded = false, runtime_inited = false;
-
-    TimeMicros mark = NowMicros();
-    auto keys = EnsureKeys(head.user_id, head.model_id, &key_fetched);
-    if (!keys.ok()) {
-      ReleaseSlot(slot);
-      fail_all(keys.status());
-      return results;
-    }
-    t->key_fetch = NowMicros() - mark;
-    EmitStage(obs::spans::kKeyFetch, t->key_fetch);
-    if (deadline_cut("key fetch")) {
-      ReleaseSlot(slot);
-      return results;
-    }
-    const Bytes& model_key = keys->first;
-    const Bytes& request_key = keys->second;
-
-    mark = NowMicros();
-    auto model = EnsureModel(head.model_id, model_key, &model_loaded);
-    if (!model.ok()) {
-      ReleaseSlot(slot);
-      fail_all(model.status());
-      return results;
-    }
-    t->model_load = NowMicros() - mark;
-    EmitStage(obs::spans::kModelLoad, t->model_load);
-    if (deadline_cut("model load")) {
-      ReleaseSlot(slot);
-      return results;
-    }
-
-    mark = NowMicros();
-    Status runtime_ok = EnsureRuntime(slot, head.model_id, *model, &runtime_inited);
-    if (!runtime_ok.ok()) {
-      ReleaseSlot(slot);
-      fail_all(runtime_ok);
-      return results;
-    }
-    t->runtime_init = NowMicros() - mark;
-    EmitStage(obs::spans::kRuntimeInit, t->runtime_init);
-    if (deadline_cut("runtime init")) {
-      ReleaseSlot(slot);
-      return results;
-    }
-
-    mark = NowMicros();
-    // One K_R cipher context for the whole batch: the AES key schedule +
-    // GHASH tables are built once here instead of once per decrypt/encrypt.
-    auto cipher = RequestCipher::Create(request_key);
-    if (!cipher.ok()) {
-      ReleaseSlot(slot);
-      fail_all(cipher.status());
-      return results;
-    }
-    // Decrypt per request; a bad ciphertext (or a mixed-in foreign request)
-    // drops only that entry from the execution batch.
-    TimeMicros stage_mark = NowMicros();
-    std::vector<Bytes> plain(batch.size());
-    std::vector<size_t> live;
-    live.reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const InferenceRequest& request = *batch[i];
-      if (request.model_id != head.model_id || request.user_id != head.user_id) {
-        results[i] =
-            Status::InvalidArgument("batch mixes models or users at index " +
-                                    std::to_string(i));
-        continue;
-      }
-      auto input = cipher->DecryptRequest(request.model_id, request.encrypted_input);
-      if (!input.ok()) {
-        results[i] = input.status();
-        continue;
-      }
-      plain[i] = std::move(*input);
-      live.push_back(i);
-    }
-    EmitStage(obs::spans::kDecrypt, NowMicros() - stage_mark);
-
-    if (!live.empty()) {
-      std::vector<ByteSpan> inputs;
-      inputs.reserve(live.size());
-      for (size_t i : live) inputs.push_back(plain[i]);
-      stage_mark = NowMicros();
-      auto outputs = [&]() -> Result<std::vector<Bytes>> {
-        std::unique_lock<std::mutex> lock(mutex_);
-        inference::ModelRuntime* runtime = contexts_[slot].runtime.get();
-        lock.unlock();
-        return runtime->ExecuteBatch(inputs);
-      }();
-      EmitStage(obs::spans::kInference, NowMicros() - stage_mark);
-      stage_mark = NowMicros();
-      if (!outputs.ok()) {
-        for (size_t i : live) results[i] = outputs.status();
-      } else {
-        for (size_t k = 0; k < live.size(); ++k) {
-          Bytes& output = (*outputs)[k];
-          RoundScores(&output, options_.round_scores_decimals);
-          results[live[k]] = cipher->EncryptResult(head.model_id, output);
-        }
-        EmitStage(obs::spans::kEncrypt, NowMicros() - stage_mark);
-      }
-    }
-    t->execute = NowMicros() - mark;
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    const int n = static_cast<int>(batch.size());
-    if (enclave_fresh_) {
-      t->kind = InvocationKind::kCold;
-      stats_.cold_invocations += n;
-      enclave_fresh_ = false;
-    } else if (key_fetched || model_loaded || runtime_inited) {
-      t->kind = InvocationKind::kWarm;
-      stats_.warm_invocations += n;
-    } else {
-      t->kind = InvocationKind::kHot;
-      stats_.hot_invocations += n;
-    }
-    stats_.requests += n;
-  }
-  ReleaseSlot(slot);
-  t->total = NowMicros() - start;
-  return results;
-}
-
-Result<Bytes> SemirtInstance::HandleTrusted(const InferenceRequest& request,
-                                            int slot, StageTimings* timings,
-                                            const ExecDeadline* deadline) {
-  if (request.user_id.empty()) {
-    return Status::InvalidArgument("missing user id");
+  SlotGuard slot(this);
+  if (!trusted) {
+    results.front() = HandleUntrusted(head, slot.index(), t, deadline);
+    return Status::OK();
   }
   if (options_.mode == RuntimeMode::kNative && !enclave_fresh_) {
     // Native baseline: tear down and relaunch the enclave for every request
@@ -600,84 +415,119 @@ Result<Bytes> SemirtInstance::HandleTrusted(const InferenceRequest& request,
     std::lock_guard<std::mutex> lock(mutex_);
     enclave_fresh_ = true;
   }
-  // EC_MODEL_INF: a thread enters the enclave through a TCS.
+  // EC_MODEL_INF: one thread enters the enclave through one TCS for the whole
+  // batch — the other TCS slots stay free for concurrent traffic.
   SESEMI_FAULT_POINT(faults::kEcallEnter);
   obs::Span ecall(obs::spans::kEcall);
+  ecall.set_arg("batch_size", static_cast<int64_t>(batch.size()));
   sgx::TcsGuard tcs = enclave_->EnterEcall();
-
   bool key_fetched = false, model_loaded = false, runtime_inited = false;
 
+  // Shared stages, each followed by a cooperative deadline cut (never
+  // mid-inference).
   TimeMicros mark = NowMicros();
   SESEMI_ASSIGN_OR_RETURN(auto keys,
-                          EnsureKeys(request.user_id, request.model_id, &key_fetched));
-  timings->key_fetch = NowMicros() - mark;
-  EmitStage(obs::spans::kKeyFetch, timings->key_fetch);
+                          EnsureKeys(head.user_id, head.model_id, &key_fetched));
+  t->key_fetch = NowMicros() - mark;
+  EmitStage(obs::spans::kKeyFetch, t->key_fetch);
   if (deadline != nullptr) SESEMI_RETURN_IF_ERROR(deadline->Check("key fetch"));
-  const Bytes& model_key = keys.first;
-  const Bytes& request_key = keys.second;
 
   mark = NowMicros();
-  SESEMI_ASSIGN_OR_RETURN(
-      std::shared_ptr<inference::LoadedModel> model,
-      EnsureModel(request.model_id, model_key, &model_loaded));
-  timings->model_load = NowMicros() - mark;
-  EmitStage(obs::spans::kModelLoad, timings->model_load);
+  SESEMI_ASSIGN_OR_RETURN(std::shared_ptr<inference::LoadedModel> model,
+                          EnsureModel(head.model_id, keys.first, &model_loaded));
+  t->model_load = NowMicros() - mark;
+  EmitStage(obs::spans::kModelLoad, t->model_load);
   if (deadline != nullptr) SESEMI_RETURN_IF_ERROR(deadline->Check("model load"));
 
   mark = NowMicros();
   SESEMI_RETURN_IF_ERROR(
-      EnsureRuntime(slot, request.model_id, model, &runtime_inited));
-  timings->runtime_init = NowMicros() - mark;
-  EmitStage(obs::spans::kRuntimeInit, timings->runtime_init);
-  if (deadline != nullptr) {
-    SESEMI_RETURN_IF_ERROR(deadline->Check("runtime init"));
-  }
+      EnsureRuntime(slot.index(), head.model_id, model, &runtime_inited));
+  t->runtime_init = NowMicros() - mark;
+  EmitStage(obs::spans::kRuntimeInit, t->runtime_init);
+  if (deadline != nullptr) SESEMI_RETURN_IF_ERROR(deadline->Check("runtime init"));
 
   mark = NowMicros();
-  TimeMicros stage_mark = mark;
-  SESEMI_ASSIGN_OR_RETURN(
-      Bytes input, DecryptRequestPayload(request_key, request.model_id,
-                                         request.encrypted_input));
-  EmitStage(obs::spans::kDecrypt, NowMicros() - stage_mark);
-  stage_mark = NowMicros();
-  Result<Bytes> output = [&]() -> Result<Bytes> {
-    std::unique_lock<std::mutex> lock(mutex_);
-    inference::ModelRuntime* runtime = contexts_[slot].runtime.get();
-    lock.unlock();
-    return runtime->Execute(input);
-  }();
-  if (!output.ok()) return output.status();
-  RoundScores(&output.value(), options_.round_scores_decimals);
-  EmitStage(obs::spans::kInference, NowMicros() - stage_mark);
-  stage_mark = NowMicros();
-  SESEMI_ASSIGN_OR_RETURN(
-      Bytes sealed, EncryptResultPayload(request_key, request.model_id, *output));
-  EmitStage(obs::spans::kEncrypt, NowMicros() - stage_mark);
-  timings->execute = NowMicros() - mark;
+  // One K_R cipher context for the whole batch: the AES key schedule + GHASH
+  // tables are built once here instead of once per decrypt/encrypt.
+  SESEMI_ASSIGN_OR_RETURN(RequestCipher cipher, RequestCipher::Create(keys.second));
+  // Decrypt per request; a bad ciphertext (or a mixed-in foreign request)
+  // drops only that entry from the execution batch.
+  std::vector<Bytes> plain(batch.size());
+  std::vector<size_t> live;
+  live.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const InferenceRequest& request = *batch[i];
+    if (request.model_id != head.model_id || request.user_id != head.user_id) {
+      results[i] = Status::InvalidArgument(
+          "batch mixes models or users at index " + std::to_string(i));
+      continue;
+    }
+    auto input = cipher.DecryptRequest(request.model_id, request.encrypted_input);
+    if (!input.ok()) {
+      results[i] = input.status();
+      continue;
+    }
+    plain[i] = std::move(*input);
+    live.push_back(i);
+  }
+  EmitStage(obs::spans::kDecrypt, NowMicros() - mark);
+
+  int served = 0;
+  if (!live.empty()) {
+    std::vector<ByteSpan> inputs;
+    inputs.reserve(live.size());
+    for (size_t i : live) inputs.push_back(plain[i]);
+    TimeMicros stage_mark = NowMicros();
+    auto outputs = [&]() -> Result<std::vector<Bytes>> {
+      std::unique_lock<std::mutex> lock(mutex_);
+      inference::ModelRuntime* runtime = contexts_[slot.index()].runtime.get();
+      lock.unlock();
+      return runtime->ExecuteBatch(inputs);
+    }();
+    EmitStage(obs::spans::kInference, NowMicros() - stage_mark);
+    stage_mark = NowMicros();
+    if (!outputs.ok()) {
+      for (size_t i : live) results[i] = outputs.status();
+    } else {
+      for (size_t k = 0; k < live.size(); ++k) {
+        Bytes& output = (*outputs)[k];
+        RoundScores(&output, options_.round_scores_decimals);
+        results[live[k]] = cipher.EncryptResult(head.model_id, output);
+        if (results[live[k]].ok()) served++;
+      }
+      EmitStage(obs::spans::kEncrypt, NowMicros() - stage_mark);
+    }
+  }
+  t->execute = NowMicros() - mark;
 
   std::lock_guard<std::mutex> lock(mutex_);
-  if (enclave_fresh_) {
-    timings->kind = InvocationKind::kCold;
-    stats_.cold_invocations++;
-    enclave_fresh_ = false;
-  } else if (key_fetched || model_loaded || runtime_inited) {
-    timings->kind = InvocationKind::kWarm;
-    stats_.warm_invocations++;
-  } else {
-    timings->kind = InvocationKind::kHot;
-    stats_.hot_invocations++;
-  }
-  stats_.requests++;
-
+  CountInvocationLocked(key_fetched || model_loaded || runtime_inited, served, t);
   if (options_.sequential_mode) {
     // Strong isolation (§V, Table II): return the enclave to a state holding
     // only the loaded model — drop runtimes and cached keys.
-    DropRuntimeLocked(&contexts_[slot]);
+    DropRuntimeLocked(&contexts_[slot.index()]);
     cached_key_id_.clear();
     cached_model_key_.clear();
     cached_request_key_.clear();
   }
-  return sealed;
+  return Status::OK();
+}
+
+void SemirtInstance::CountInvocationLocked(bool setup_ran, int served,
+                                           StageTimings* timings) {
+  if (served == 0) return;  // nothing served: the next request keeps its kind
+  if (enclave_fresh_) {
+    timings->kind = InvocationKind::kCold;
+    stats_.cold_invocations += served;
+    enclave_fresh_ = false;
+  } else if (setup_ran) {
+    timings->kind = InvocationKind::kWarm;
+    stats_.warm_invocations += served;
+  } else {
+    timings->kind = InvocationKind::kHot;
+    stats_.hot_invocations += served;
+  }
+  stats_.requests += served;
 }
 
 Result<Bytes> SemirtInstance::HandleUntrusted(const InferenceRequest& request,
@@ -734,18 +584,7 @@ Result<Bytes> SemirtInstance::HandleUntrusted(const InferenceRequest& request,
   EmitStage(obs::spans::kInference, timings->execute);
 
   std::lock_guard<std::mutex> lock(mutex_);
-  if (enclave_fresh_) {
-    timings->kind = InvocationKind::kCold;
-    stats_.cold_invocations++;
-    enclave_fresh_ = false;
-  } else if (model_loaded || runtime_inited) {
-    timings->kind = InvocationKind::kWarm;
-    stats_.warm_invocations++;
-  } else {
-    timings->kind = InvocationKind::kHot;
-    stats_.hot_invocations++;
-  }
-  stats_.requests++;
+  CountInvocationLocked(model_loaded || runtime_inited, 1, timings);
   return *output;
 }
 

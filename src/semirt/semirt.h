@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/clock.h"
@@ -100,8 +101,9 @@ struct SemirtStats {
 /// and per-TCS thread contexts holding model runtimes.
 ///
 /// \par Thread-safety contract
-///  - HandleRequest may be called from any number of threads concurrently;
-///    at most `num_tcs` execute inside at once, the rest block on TCS slot
+///  - HandleRequest / HandleRequestBatch may be called from any number of
+///    threads concurrently; at most `num_tcs` execute inside at once (one
+///    slot per pass, whatever its batch size), the rest block on TCS slot
 ///    acquisition exactly as on real SGX. Slot acquisition is a lock-free
 ///    CAS on a free-slot bitmap when num_tcs <= 64 (a mutex scan otherwise);
 ///    waiting uses a condition variable either way.
@@ -132,28 +134,33 @@ class SemirtInstance {
   /// write access-control entries (§III).
   static sgx::Measurement MeasurementFor(const SemirtOptions& options);
 
-  /// ECALL EC_MODEL_INF + EC_GET_OUTPUT: serve one request, returning the
-  /// result encrypted under the request key (raw output in kUntrusted mode).
-  /// `deadline` (optional) is checked cooperatively between pipeline stages;
-  /// an expired deadline cuts the request with kDeadlineExceeded.
+  /// ECALL EC_MODEL_INF + EC_GET_OUTPUT for one request: a one-element
+  /// HandleRequestBatch. Returns the result encrypted under the request key
+  /// (raw output in kUntrusted mode).
   Result<Bytes> HandleRequest(const InferenceRequest& request,
                               StageTimings* timings = nullptr,
                               const ExecDeadline* deadline = nullptr);
 
-  /// Serve a same-user, same-model batch (the scheduler's coalescer output)
-  /// through ONE TCS slot and ONE enclave entry: keys, model, and runtime are
-  /// ensured once, inputs are decrypted individually, inference runs as one
-  /// batched MODEL_EXEC (multi-row GEMM), and each result is sealed under the
-  /// shared request key. Returns per-request results in request order; a
-  /// request that fails validation or decryption gets its own error without
-  /// failing the rest. Entries whose user or model differ from the first
-  /// request's are rejected with InvalidArgument (the key cache holds one
-  /// ⟨uid,Moid⟩ pair — mixing would leak across sessions).
+  /// The trusted pipeline. Serves a same-user, same-model batch (the
+  /// platform's dispatch unit, 1..n requests) through ONE TCS slot and ONE
+  /// enclave entry: keys, model, and runtime are ensured once, inputs are
+  /// decrypted individually, inference runs as one batched MODEL_EXEC
+  /// (multi-row GEMM), and each result is sealed under the shared request
+  /// key. Returns per-request results in request order. A failed shared stage
+  /// (validation, ecall entry, key fetch, model load, runtime init) fails
+  /// every request of the pass with its status; a request that fails
+  /// decryption gets its own error without failing the rest. Entries whose
+  /// user or model differ from the first request's are rejected with
+  /// InvalidArgument (the key cache holds one ⟨uid,Moid⟩ pair — mixing would
+  /// leak across sessions).
   ///
-  /// Only the kSesemi mode takes the batched path; the baseline modes (and
-  /// sequential isolation builds) fall back to per-request HandleRequest,
-  /// preserving their per-request setup/teardown semantics.
-  /// `timings` receives the batch's stage timings (shared by its requests).
+  /// The baseline modes and sequential isolation builds set up and tear down
+  /// around every request, so they run the same pipeline one request per
+  /// pass; kUntrusted runs its plaintext pipeline per request. `deadline`
+  /// (optional) is checked before the slot is taken and cooperatively
+  /// between stages; an expired deadline cuts the pass with
+  /// kDeadlineExceeded. `timings` receives the (last) pass's stage timings,
+  /// shared by its requests.
   std::vector<Result<Bytes>> HandleRequestBatch(
       const std::vector<const InferenceRequest*>& batch,
       StageTimings* timings = nullptr, const ExecDeadline* deadline = nullptr);
@@ -190,13 +197,34 @@ class SemirtInstance {
                  storage::ObjectStore* storage,
                  keyservice::KeyServiceServer* keyservice);
 
+  /// Holds one TCS slot for its scope.
+  class SlotGuard {
+   public:
+    explicit SlotGuard(SemirtInstance* instance)
+        : instance_(instance), index_(instance->AcquireSlot()) {}
+    ~SlotGuard() { instance_->ReleaseSlot(index_); }
+    SlotGuard(const SlotGuard&) = delete;
+    SlotGuard& operator=(const SlotGuard&) = delete;
+    int index() const { return index_; }
+
+   private:
+    SemirtInstance* instance_;
+    int index_;
+  };
+
   Status Initialize();
-  Result<Bytes> HandleTrusted(const InferenceRequest& request, int slot,
-                              StageTimings* timings,
-                              const ExecDeadline* deadline);
+  /// One pass of the pipeline over `batch` (one session). A non-OK return is
+  /// a shared-stage failure for every request of the pass; otherwise
+  /// `results` holds one result per request.
+  Status RunPipeline(std::span<const InferenceRequest* const> batch,
+                     StageTimings* timings, const ExecDeadline* deadline,
+                     std::span<Result<Bytes>> results);
   Result<Bytes> HandleUntrusted(const InferenceRequest& request, int slot,
                                 StageTimings* timings,
                                 const ExecDeadline* deadline);
+  /// Classify a pass per Figure 4 and count its `served` requests (none
+  /// served: nothing changes). Requires mutex_.
+  void CountInvocationLocked(bool setup_ran, int served, StageTimings* timings);
 
   /// Ensure (K_M, K_R) for (uid, Moid) are available, honoring the one-pair
   /// key cache. Sets *fetched if a KeyService round trip happened.

@@ -24,8 +24,8 @@ struct PendingInvocation {
   std::promise<InvocationResult> promise;
 };
 
-std::shared_ptr<PendingInvocation> PayloadOf(const sched::QueuedRequest& qr) {
-  return std::static_pointer_cast<PendingInvocation>(qr.payload);
+PendingInvocation* PayloadOf(const sched::QueuedRequest& qr) {
+  return static_cast<PendingInvocation*>(qr.payload.get());
 }
 
 int WindowLimitFor(const PlatformConfig& config) {
@@ -104,19 +104,13 @@ void ServerlessPlatform::DrainForShutdown() {
     std::vector<sched::QueuedRequest> batch = scheduler_.PopBatch(&expired);
     if (batch.empty() && expired.empty()) break;
     const TimeMicros now = clock_->Now();
-    auto resolve = [&](sched::QueuedRequest& qr, Status status) {
-      InvocationResult out;
-      out.response = std::move(status);
-      out.sched_seq = qr.seq;
-      out.queue_wait = now - qr.enqueue_time;
-      PayloadOf(qr)->promise.set_value(std::move(out));
-    };
     for (sched::QueuedRequest& qr : expired) {
-      resolve(qr, Status::DeadlineExceeded("deadline passed before dispatch: " +
-                                           qr.function));
+      Resolve(qr, now,
+              {.response = Status::DeadlineExceeded(
+                   "deadline passed before dispatch: " + qr.function)});
     }
     for (sched::QueuedRequest& qr : batch) {
-      resolve(qr, Status::Unavailable("shutting down"));
+      Resolve(qr, now, {.response = Status::Unavailable("shutting down")});
       shutdown_drops_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -448,95 +442,14 @@ void ServerlessPlatform::MaybeRetireContainer(FunctionShard* shard,
   shard->containers.erase(it);
 }
 
-Result<Bytes> ServerlessPlatform::ExecuteAttempt(
-    FunctionShard* shard, const semirt::InferenceRequest& request,
-    const semirt::ExecDeadline* deadline, semirt::StageTimings* timings,
-    bool* cold) {
-  SESEMI_FAULT_POINT(faults::kServerlessDispatch);
-  if (deadline != nullptr && deadline->Expired()) {
-    return Status::DeadlineExceeded("deadline passed before execution");
-  }
-
-  bool cold_here = false;
-  uint32_t slot_index = 0;
-  SESEMI_ASSIGN_OR_RETURN(Container * container,
-                          AcquireContainer(shard, request.model_id, &slot_index,
-                                           &cold_here));
-  if (cold_here) *cold = true;
-
-  Result<Bytes> result =
-      container->instance->HandleRequest(request, timings, deadline);
-
-  if (config_.recovery.enabled && !result.ok() &&
-      IsEnclavePoisoning(result.status().code())) {
-    // The enclave's internal state can no longer be trusted: poison it so
-    // the release below quarantines the token instead of recycling it.
-    PoisonContainer(container);
-  }
-  ReleaseContainer(shard, container, slot_index);
-  invocations_.fetch_add(1, std::memory_order_relaxed);
-  return result;
-}
-
-Result<Bytes> ServerlessPlatform::ExecuteOne(
-    FunctionShard* shard, const semirt::InferenceRequest& request,
-    const semirt::ExecDeadline* deadline, semirt::StageTimings* timings,
-    bool* cold) {
-  const RetryPolicy& policy = config_.recovery.retry;
-  const int max_attempts =
-      config_.recovery.enabled ? std::max(1, policy.max_attempts) : 1;
-
-  Result<Bytes> result = Status::Aborted("request dropped before execution");
-  for (int attempt = 0;; ++attempt) {
-    result = ExecuteAttempt(shard, request, deadline, timings, cold);
-    if (result.ok()) break;
-    const StatusCode code = result.status().code();
-    if (code == StatusCode::kDeadlineExceeded) {
-      deadline_cuts_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-    if (IsEnclavePoisoning(code)) {
-      // The inference ecall itself faulted: never retried (it may have
-      // consumed or mutated state), but surfaced as typed Unavailable — the
-      // enclave is quarantined and a relaunch restores service.
-      result = Status::Unavailable("enclave failure: " +
-                                   result.status().message());
-      break;
-    }
-    if (!config_.recovery.enabled || !IsRetryableFailure(code) ||
-        attempt + 1 >= max_attempts ||
-        (deadline != nullptr && deadline->Expired())) {
-      break;
-    }
-    // Retryable (kUnavailable) failures come only from idempotent stages —
-    // key fetch, handshake, model fetch, or pre-entry dispatch faults.
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    const TimeMicros delay = retry_backoff_.Next(attempt);
-    if (delay > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(delay));
-    }
-  }
-  return result;
-}
-
 Result<Bytes> ServerlessPlatform::Invoke(const std::string& function,
                                          const semirt::InferenceRequest& request,
                                          semirt::StageTimings* timings,
                                          bool* cold_start) {
-  if (shutting_down_.load(std::memory_order_acquire)) {
-    return Status::Unavailable("shutting down");
-  }
-  MaybeReap();
-
-  FunctionShard* shard = FindShard(function);
-  if (shard == nullptr) {
-    return Status::NotFound("no such function: " + function);
-  }
-
-  bool cold = false;
-  Result<Bytes> result = ExecuteOne(shard, request, nullptr, timings, &cold);
-  if (cold_start != nullptr) *cold_start = cold;
-  return result;
+  InvocationResult out = InvokeAsync(function, request).get();
+  if (timings != nullptr) *timings = out.timings;
+  if (cold_start != nullptr) *cold_start = out.cold_start;
+  return std::move(out.response);
 }
 
 std::future<InvocationResult> ServerlessPlatform::InvokeAsync(
@@ -603,7 +516,7 @@ int ServerlessPlatform::EffectiveClass(const std::string& function,
 }
 
 void ServerlessPlatform::RtPumpTrampoline(void* self) {
-  static_cast<ServerlessPlatform*>(self)->RtPumpOne();
+  static_cast<ServerlessPlatform*>(self)->RtPump();
 }
 
 void ServerlessPlatform::KickRtLane() {
@@ -614,13 +527,13 @@ void ServerlessPlatform::KickRtLane() {
   // Zero-allocation handoff: one slot-ring publish + one semaphore release.
   if (rt_exec_->Submit(&RtPumpTrampoline, this)) return;
   // Ring full — the interactive classes are severely oversubscribed. Degrade
-  // to a shared-pool task running the same single-request pump, so the
-  // request is late rather than stranded.
+  // to a shared-pool task running the same pump, so the request is late
+  // rather than stranded.
   rt_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  async_tasks_.Submit([this] { RtPumpOne(); });
+  async_tasks_.Submit([this] { RtPump(); });
 }
 
-void ServerlessPlatform::RtPumpOne() {
+void ServerlessPlatform::RtPump() {
   if (shutting_down_.load(std::memory_order_acquire)) {
     return;  // the destructor's drain resolves whatever is queued
   }
@@ -628,19 +541,8 @@ void ServerlessPlatform::RtPumpOne() {
     std::lock_guard<std::mutex> lock(dispatch_mutex_);
     if (dispatch_paused_) return;
   }
-  std::vector<sched::QueuedRequest> expired;
-  sched::QueuedRequest qr;
-  const bool got = scheduler_.PopOne(rt_mask_, &qr, &expired);
-  for (sched::QueuedRequest& ex : expired) {
-    InvocationResult out;
-    out.response = Status::DeadlineExceeded("deadline passed before dispatch: " +
-                                            ex.function);
-    out.sched_seq = ex.seq;
-    out.queue_wait = clock_->Now() - ex.enqueue_time;
-    PayloadOf(ex)->promise.set_value(std::move(out));
-  }
-  if (!got) return;  // raced with another lane (or shed everything)
-  DispatchOne(std::move(qr), RtExecutor::LaneIndex());
+  // Popping nothing means another lane raced us (or everything was shed).
+  DispatchNext(rt_mask_, RtExecutor::LaneIndex());
 }
 
 void ServerlessPlatform::MaybeSpawnDispatcher() {
@@ -662,37 +564,21 @@ void ServerlessPlatform::PumpScheduler() {
         return;
       }
     }
-    std::vector<sched::QueuedRequest> expired;
     // Bulk dispatchers serve only the non-RT classes (bulk_mask_ is
     // kAllClasses when the tier is disabled, making this the unmasked pop).
-    std::vector<sched::QueuedRequest> batch =
-        scheduler_.PopBatch(bulk_mask_, &expired);
-    // Deadline-shed work (DeadlineEdf) is never executed: its futures resolve
-    // with a typed DeadlineExceeded right here at dispatch time.
-    for (sched::QueuedRequest& qr : expired) {
-      InvocationResult out;
-      out.response = Status::DeadlineExceeded(
-          "deadline passed before dispatch: " + qr.function);
-      out.sched_seq = qr.seq;
-      out.queue_wait = clock_->Now() - qr.enqueue_time;
-      PayloadOf(qr)->promise.set_value(std::move(out));
+    if (DispatchNext(bulk_mask_, /*rt_lane=*/-1)) continue;
+    // Exit only if the queue is truly drained: the depth re-check under
+    // dispatch_mutex_ pairs with MaybeSpawnDispatcher's increment, so a
+    // submission that saw active_dispatchers_ == limit is guaranteed to be
+    // observed by one of those dispatchers before it exits.
+    std::lock_guard<std::mutex> lock(dispatch_mutex_);
+    // Depth is checked through the bulk mask: backlog parked in RT-only
+    // classes belongs to the lanes, and spinning on it here would wedge this
+    // dispatcher forever.
+    if (scheduler_.DepthInClasses(bulk_mask_) == 0 || dispatch_paused_) {
+      active_dispatchers_--;
+      return;
     }
-    if (batch.empty()) {
-      // Exit only if the queue is truly drained: the depth re-check under
-      // dispatch_mutex_ pairs with MaybeSpawnDispatcher's increment, so a
-      // submission that saw active_dispatchers_ == limit is guaranteed to be
-      // observed by one of those dispatchers before it exits.
-      std::lock_guard<std::mutex> lock(dispatch_mutex_);
-      // Depth is checked through the bulk mask: backlog parked in RT-only
-      // classes belongs to the lanes, and spinning on it here would wedge
-      // this dispatcher forever.
-      if (scheduler_.DepthInClasses(bulk_mask_) == 0 || dispatch_paused_) {
-        active_dispatchers_--;
-        return;
-      }
-      continue;
-    }
-    DispatchBatch(std::move(batch));
   }
 }
 
@@ -724,197 +610,178 @@ void ServerlessPlatform::ObserveClassLatency(int cls, TimeMicros wait,
           wait_hist_[cls].load(std::memory_order_relaxed)) {
     h->Observe(MicrosToSeconds(wait < 0 ? 0 : wait));
   }
+  if (exec < 0) return;  // cut or failed before a container was acquired
   if (obs::Histogram* h =
           exec_hist_[cls].load(std::memory_order_relaxed)) {
-    h->Observe(MicrosToSeconds(exec < 0 ? 0 : exec));
+    h->Observe(MicrosToSeconds(exec));
   }
 }
 
-void ServerlessPlatform::DispatchOne(sched::QueuedRequest qr, int rt_lane) {
-  const TimeMicros now = clock_->Now();
-  auto pending = PayloadOf(qr);
-
-  // RT dispatches get their own span name so lane occupancy reads directly
-  // off a Chrome trace; both carry the priority class for filtering.
-  obs::Span dispatch(
-      rt_lane >= 0 ? obs::spans::kRtLane : obs::spans::kDispatch, qr.trace);
-  dispatch.set_arg("lane", rt_lane);
-  dispatch.set_priority(qr.priority);
-  if (obs::Tracer::Enabled()) {
-    const TimeMicros trace_now = obs::Tracer::Now();
-    const TimeMicros wait = now >= qr.enqueue_time ? now - qr.enqueue_time : 0;
-    obs::Tracer::EmitSpan(qr.trace, obs::spans::kQueueWait, trace_now - wait,
-                          trace_now, "batch_size", 1, qr.priority);
-  }
-
-  InvocationResult out;
+void ServerlessPlatform::Resolve(sched::QueuedRequest& qr, TimeMicros dispatched,
+                                 InvocationResult out) {
   out.sched_seq = qr.seq;
   out.dispatch_seq = qr.dispatch_seq;
-  out.queue_wait = now - qr.enqueue_time;
-  out.rt_lane = rt_lane;
-  out.exec_thread = std::hash<std::thread::id>{}(std::this_thread::get_id());
-
-  semirt::ExecDeadline exec_deadline;
-  const semirt::ExecDeadline* deadline_ptr = nullptr;
-  if (config_.recovery.enabled && qr.deadline != sched::kNoDeadline) {
-    exec_deadline = {qr.deadline, clock_};
-    deadline_ptr = &exec_deadline;
-  }
-
-  MaybeReap();
-  FunctionShard* shard = FindShard(qr.function);
-  const TimeMicros exec_start = clock_->Now();
-  if (shard == nullptr) {
-    out.response = Status::NotFound("no such function: " + qr.function);
-  } else {
-    out.response = ExecuteOne(shard, pending->request, deadline_ptr,
-                              &out.timings, &out.cold_start);
-  }
-  if (rt_lane >= 0) rt_dispatches_.fetch_add(1, std::memory_order_relaxed);
-  ObserveClassLatency(qr.priority, out.queue_wait, clock_->Now() - exec_start);
-  pending->promise.set_value(std::move(out));
+  out.queue_wait = dispatched - qr.enqueue_time;
+  PayloadOf(qr)->promise.set_value(std::move(out));
 }
 
-void ServerlessPlatform::DispatchBatch(std::vector<sched::QueuedRequest> batch) {
-  const TimeMicros now = clock_->Now();
+bool ServerlessPlatform::DispatchNext(sched::ClassMask classes, int rt_lane) {
+  std::vector<sched::QueuedRequest> expired;
+  std::vector<sched::QueuedRequest> unit = scheduler_.PopBatch(classes, &expired);
+  // Deadline-shed work (DeadlineEdf) is never executed: its futures resolve
+  // with a typed DeadlineExceeded right here at dispatch time.
+  for (sched::QueuedRequest& qr : expired) {
+    Resolve(qr, clock_->Now(),
+            {.response = Status::DeadlineExceeded(
+                 "deadline passed before dispatch: " + qr.function)});
+  }
+  if (unit.empty()) return false;
+  Execute(std::move(unit), rt_lane);
+  return true;
+}
 
-  // Continue the head request's trace on this dispatcher thread. Coalesced
+void ServerlessPlatform::Execute(std::vector<sched::QueuedRequest> unit,
+                                 int rt_lane) {
+  const TimeMicros now = clock_->Now();
+  const sched::QueuedRequest& head = unit.front();
+  const size_t n = unit.size();
+
+  // Continue the head request's trace on this thread; RT units get their own
+  // span name so lane occupancy reads directly off a Chrome trace. Coalesced
   // companions keep their own traces: each gets a reconstructed queue-wait
-  // span plus (for non-heads) a sched.coalesced instant pointing at the
-  // trace that carries the shared dispatch/ecall spans.
-  obs::Span dispatch(obs::spans::kDispatch, batch.front().trace);
-  dispatch.set_arg("batch_size", static_cast<int64_t>(batch.size()));
-  dispatch.set_priority(batch.front().priority);
+  // span plus (for non-heads) a sched.coalesced instant pointing at the trace
+  // that carries the shared dispatch/ecall spans.
+  obs::Span dispatch(rt_lane >= 0 ? obs::spans::kRtLane : obs::spans::kDispatch,
+                     head.trace);
+  if (rt_lane >= 0) {
+    dispatch.set_arg("lane", rt_lane);
+  } else {
+    dispatch.set_arg("batch_size", static_cast<int64_t>(n));
+  }
+  dispatch.set_priority(head.priority);
   if (obs::Tracer::Enabled()) {
     const TimeMicros trace_now = obs::Tracer::Now();
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const sched::QueuedRequest& qr = batch[i];
+    for (size_t i = 0; i < n; ++i) {
+      const sched::QueuedRequest& qr = unit[i];
       const TimeMicros wait = now >= qr.enqueue_time ? now - qr.enqueue_time : 0;
       obs::Tracer::EmitSpan(qr.trace, obs::spans::kQueueWait, trace_now - wait,
-                            trace_now, "batch_size",
-                            static_cast<int64_t>(batch.size()), qr.priority);
+                            trace_now, "batch_size", static_cast<int64_t>(n),
+                            qr.priority);
       if (i > 0) {
-        obs::Tracer::EmitInstant(
-            qr.trace, obs::spans::kCoalesced, "head_trace",
-            static_cast<int64_t>(batch.front().trace.trace_id));
+        obs::Tracer::EmitInstant(qr.trace, obs::spans::kCoalesced, "head_trace",
+                                 static_cast<int64_t>(head.trace.trace_id));
       }
     }
   }
 
-  auto resolve_all = [&](const Status& status) {
-    for (sched::QueuedRequest& qr : batch) {
-      InvocationResult out;
-      out.response = status;
-      out.sched_seq = qr.seq;
-      out.dispatch_seq = qr.dispatch_seq;
-      out.queue_wait = now - qr.enqueue_time;
-      out.batch_size = static_cast<int>(batch.size());
-      PayloadOf(qr)->promise.set_value(std::move(out));
-    }
-  };
-
-  // Deadline enforcement at execution time: cooperative cuts between
-  // pipeline stages, never mid-inference. Earliest deadline governs a batch.
-  semirt::ExecDeadline exec_deadline;
+  // Deadline enforcement at execution time: checked before a container is
+  // acquired, then cooperatively between pipeline stages (never
+  // mid-inference). The earliest deadline governs a unit.
+  semirt::ExecDeadline deadline;
   const semirt::ExecDeadline* deadline_ptr = nullptr;
   if (config_.recovery.enabled) {
     TimeMicros earliest = sched::kNoDeadline;
-    for (const sched::QueuedRequest& qr : batch) {
+    for (const sched::QueuedRequest& qr : unit) {
       earliest = std::min(earliest, qr.deadline);
     }
     if (earliest != sched::kNoDeadline) {
-      exec_deadline = {earliest, clock_};
-      deadline_ptr = &exec_deadline;
+      deadline = {earliest, clock_};
+      deadline_ptr = &deadline;
     }
-  }
-
-  if (batch.size() == 1) {
-    sched::QueuedRequest& qr = batch.front();
-    auto pending = PayloadOf(qr);
-    InvocationResult out;
-    out.sched_seq = qr.seq;
-    out.dispatch_seq = qr.dispatch_seq;
-    out.queue_wait = now - qr.enqueue_time;
-    out.exec_thread = std::hash<std::thread::id>{}(std::this_thread::get_id());
-    MaybeReap();
-    FunctionShard* shard = FindShard(qr.function);
-    const TimeMicros exec_start = clock_->Now();
-    if (shard == nullptr) {
-      out.response = Status::NotFound("no such function: " + qr.function);
-    } else {
-      out.response = ExecuteOne(shard, pending->request, deadline_ptr,
-                                &out.timings, &out.cold_start);
-    }
-    ObserveClassLatency(qr.priority, out.queue_wait, clock_->Now() - exec_start);
-    pending->promise.set_value(std::move(out));
-    return;
-  }
-
-  // Batched dispatch: one container slot, one enclave entry for the whole
-  // same-model, same-session batch.
-  MaybeReap();
-  FunctionShard* shard = FindShard(batch.front().function);
-  if (shard == nullptr) {
-    resolve_all(Status::NotFound("no such function: " + batch.front().function));
-    return;
-  }
-
-  bool cold = false;
-  uint32_t slot_index = 0;
-  auto container = AcquireContainer(shard, batch.front().model_id, &slot_index,
-                                    &cold);
-  if (!container.ok()) {
-    resolve_all(container.status());
-    return;
   }
 
   std::vector<const semirt::InferenceRequest*> requests;
-  std::vector<std::shared_ptr<PendingInvocation>> pendings;
-  requests.reserve(batch.size());
-  pendings.reserve(batch.size());
-  for (const sched::QueuedRequest& qr : batch) {
-    pendings.push_back(PayloadOf(qr));
-    requests.push_back(&pendings.back()->request);
+  requests.reserve(n);
+  for (const sched::QueuedRequest& qr : unit) {
+    requests.push_back(&PayloadOf(qr)->request);
   }
 
+  MaybeReap();
+  FunctionShard* shard = FindShard(head.function);
+  std::vector<Result<Bytes>> results;
   semirt::StageTimings timings;
-  const TimeMicros exec_start = clock_->Now();
-  std::vector<Result<Bytes>> results =
-      (*container)->instance->HandleRequestBatch(requests, &timings,
-                                                 deadline_ptr);
-  const TimeMicros exec_micros = clock_->Now() - exec_start;
-
-  // Batch dispatches are never retried (the enclave entry is not idempotent);
-  // poisoning failures quarantine the container and surface as Unavailable.
-  for (Result<Bytes>& r : results) {
-    if (r.ok()) continue;
-    const StatusCode code = r.status().code();
-    if (code == StatusCode::kDeadlineExceeded) {
-      deadline_cuts_.fetch_add(1, std::memory_order_relaxed);
-    } else if (config_.recovery.enabled && IsEnclavePoisoning(code)) {
-      PoisonContainer(*container);
-      r = Status::Unavailable("enclave failure: " + r.status().message());
+  bool cold = false;
+  TimeMicros exec_micros = -1;  // acquire -> enclave return; -1 = never acquired
+  // One attempt: a failure before the enclave entry fails the whole unit
+  // (the returned status); past it, `results` holds one result per request.
+  auto attempt = [&]() -> Status {
+    if (shard == nullptr) {
+      return Status::NotFound("no such function: " + head.function);
     }
+    SESEMI_FAULT_POINT(faults::kServerlessDispatch);
+    if (deadline_ptr != nullptr && deadline_ptr->Expired()) {
+      return Status::DeadlineExceeded("deadline passed before execution");
+    }
+    const TimeMicros exec_start = clock_->Now();
+    bool cold_here = false;
+    uint32_t slot_index = 0;
+    SESEMI_ASSIGN_OR_RETURN(
+        Container * container,
+        AcquireContainer(shard, head.model_id, &slot_index, &cold_here));
+    cold = cold || cold_here;
+    results = container->instance->HandleRequestBatch(requests, &timings,
+                                                      deadline_ptr);
+    exec_micros = clock_->Now() - exec_start;
+    if (config_.recovery.enabled &&
+        std::any_of(results.begin(), results.end(), [](const Result<Bytes>& r) {
+          return !r.ok() && IsEnclavePoisoning(r.status().code());
+        })) {
+      // The enclave's internal state can no longer be trusted: poison it so
+      // the release below quarantines the token instead of recycling it.
+      PoisonContainer(container);
+    }
+    ReleaseContainer(shard, container, slot_index);
+    invocations_.fetch_add(static_cast<int>(n), std::memory_order_relaxed);
+    return Status::OK();
+  };
+
+  const int max_attempts =
+      config_.recovery.enabled ? std::max(1, config_.recovery.retry.max_attempts)
+                               : 1;
+  for (int i = 0;; ++i) {
+    Status entered = attempt();
+    if (!entered.ok()) results.assign(n, entered);
+    // Retry only a unit whose every request failed retryably: kUnavailable
+    // comes only from the shared idempotent stages (key fetch, handshake,
+    // model fetch, pre-entry faults), never from one request's own input.
+    const bool retryable =
+        std::all_of(results.begin(), results.end(), [](const Result<Bytes>& r) {
+          return !r.ok() && IsRetryableFailure(r.status().code());
+        });
+    if (!retryable || i + 1 >= max_attempts ||
+        (deadline_ptr != nullptr && deadline_ptr->Expired())) {
+      break;
+    }
+    retries_.fetch_add(1, std::memory_order_relaxed);
+    const TimeMicros delay = retry_backoff_.Next(i);
+    if (delay > 0) std::this_thread::sleep_for(std::chrono::microseconds(delay));
   }
 
-  ReleaseContainer(shard, *container, slot_index);
-  invocations_.fetch_add(static_cast<int>(batch.size()),
-                         std::memory_order_relaxed);
-
+  if (rt_lane >= 0) rt_dispatches_.fetch_add(n, std::memory_order_relaxed);
   const uint64_t exec_thread =
       std::hash<std::thread::id>{}(std::this_thread::get_id());
-  for (size_t i = 0; i < batch.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     InvocationResult out;
     out.response = std::move(results[i]);
-    out.timings = timings;  // stage costs are shared across the batch
+    if (!out.response.ok()) {
+      const StatusCode code = out.response.status().code();
+      if (code == StatusCode::kDeadlineExceeded) {
+        deadline_cuts_.fetch_add(1, std::memory_order_relaxed);
+      } else if (config_.recovery.enabled && IsEnclavePoisoning(code)) {
+        // The inference ecall itself faulted: never retried (it may have
+        // consumed or mutated state), but surfaced as typed Unavailable — the
+        // enclave is quarantined and a relaunch restores service.
+        out.response = Status::Unavailable("enclave failure: " +
+                                           out.response.status().message());
+      }
+    }
+    out.timings = timings;  // stage costs are shared across the unit
     out.cold_start = cold;
-    out.sched_seq = batch[i].seq;
-    out.dispatch_seq = batch[i].dispatch_seq;
-    out.queue_wait = now - batch[i].enqueue_time;
-    out.batch_size = static_cast<int>(batch.size());
+    out.batch_size = static_cast<int>(n);
+    out.rt_lane = rt_lane;
     out.exec_thread = exec_thread;
-    ObserveClassLatency(batch[i].priority, out.queue_wait, exec_micros);
-    pendings[i]->promise.set_value(std::move(out));
+    ObserveClassLatency(unit[i].priority, now - unit[i].enqueue_time, exec_micros);
+    Resolve(unit[i], now, std::move(out));
   }
 }
 

@@ -33,7 +33,7 @@ namespace sesemi::serverless {
 struct RtTierConfig {
   bool enabled = false;
   /// Priority classes [0, classes) route to the RT tier; the rest keep the
-  /// coalesced bulk path. Clamped to [1, kNumPriorityClasses].
+  /// shared-pool dispatchers. Clamped to [1, kNumPriorityClasses].
   int classes = 1;
   /// The lanes themselves: count, pinning, handoff ring, bulk clamp.
   RtExecutorConfig executor;
@@ -62,7 +62,7 @@ struct PlatformConfig {
   /// retries, and execution-time deadline cuts (see serverless/recovery.h).
   RecoveryConfig recovery;
   /// Latency-class execution tiers: dedicated pinned RT lanes for the
-  /// interactive classes, bypassing the shared pool and the batcher.
+  /// interactive classes, bypassing the shared pool.
   RtTierConfig rt;
 };
 
@@ -97,9 +97,9 @@ struct PlatformStats {
 /// the scheduler's view of the request (admission order, dispatch order,
 /// queue wait, and the size of the coalesced batch it rode in).
 struct InvocationResult {
-  /// Every platform path overwrites this with either the sealed response or
-  /// a specific typed error; the Aborted default can only surface if a
-  /// result object escapes without passing through the platform at all.
+  /// The platform overwrites this with either the sealed response or a
+  /// specific typed error; the Aborted default can only surface if a result
+  /// object escapes without passing through the platform at all.
   Result<Bytes> response = Status::Aborted("request dropped before execution");
   semirt::StageTimings timings;
   bool cold_start = false;
@@ -177,11 +177,12 @@ class ServerlessPlatform {
   /// \threadsafety May race with Invoke/InvokeAsync on other functions.
   Status DeployFunction(const FunctionSpec& spec);
 
-  /// Synchronously execute one request on `function`: reuses a warm container
-  /// with a free TCS slot (most recently used first) or cold-starts a new
-  /// one. Sets *cold_start if provisioning happened.
-  /// \threadsafety Safe to call from many threads at once; warm acquisitions
-  /// are lock-free.
+  /// Synchronously execute one request on `function`: InvokeAsync(...).get(),
+  /// so it passes the same admission, scheduler and dispatch path as every
+  /// other request. Sets *cold_start if provisioning happened.
+  /// \threadsafety Safe to call from many threads at once, but never from a
+  /// fork-join pool worker or while dispatch is paused: the call blocks until
+  /// a dispatcher runs the request.
   Result<Bytes> Invoke(const std::string& function,
                        const semirt::InferenceRequest& request,
                        semirt::StageTimings* timings = nullptr,
@@ -224,7 +225,7 @@ class ServerlessPlatform {
   void ResumeDispatch();
 
   /// Reclaim containers idle longer than the keep-alive window. Called
-  /// opportunistically (and rate-limited) by Invoke; exposed for tests and
+  /// opportunistically (and rate-limited) by dispatch; exposed for tests and
   /// maintenance loops, where it always runs a full sweep.
   int ReapIdleContainers();
 
@@ -359,29 +360,29 @@ class ServerlessPlatform {
   /// the enclave and return its memory.
   void MaybeRetireContainer(FunctionShard* shard, Container* container);
 
-  /// One execution attempt: acquire, run (with optional exec deadline),
-  /// poison on enclave failure, release.
-  Result<Bytes> ExecuteAttempt(FunctionShard* shard,
-                               const semirt::InferenceRequest& request,
-                               const semirt::ExecDeadline* deadline,
-                               semirt::StageTimings* timings, bool* cold);
-  /// ExecuteAttempt wrapped in the recovery policy: retries retryable
-  /// failures (idempotent stages only — a poisoning inference failure is
-  /// translated to Unavailable and never retried), counts deadline cuts.
-  Result<Bytes> ExecuteOne(FunctionShard* shard,
-                           const semirt::InferenceRequest& request,
-                           const semirt::ExecDeadline* deadline,
-                           semirt::StageTimings* timings, bool* cold);
+  /// Resolve `qr`'s future with `out`, stamped with the scheduler's view of
+  /// the request (admission and dispatch order, queue wait up to
+  /// `dispatched`). Every request popped from the scheduler — executed, shed
+  /// on its deadline, or drained at shutdown — is resolved here.
+  void Resolve(sched::QueuedRequest& qr, TimeMicros dispatched,
+               InvocationResult out);
 
   /// Resolve every request still queued in the scheduler with a typed
   /// shutdown error (deadline-shed entries keep DeadlineExceeded).
   void DrainForShutdown();
 
-  /// Dispatcher task body: pull batches from the scheduler until it drains.
+  /// Dispatcher task body: pull units from the scheduler until it drains.
   void PumpScheduler();
   void MaybeSpawnDispatcher();
-  /// Execute one policy-ordered dispatch unit and resolve its promises.
-  void DispatchBatch(std::vector<sched::QueuedRequest> batch);
+  /// Pop one policy-ordered unit from `classes`, resolve the requests shed on
+  /// the way, and Execute it. Returns false when no unit was popped.
+  bool DispatchNext(sched::ClassMask classes, int rt_lane);
+  /// The one execution path: run a dispatch unit (1..n same-session requests
+  /// from PopBatch) through one container slot and one enclave entry, with
+  /// the dispatch-fault, deadline, poisoning and retry rules applied to the
+  /// unit, then resolve every promise. `rt_lane` >= 0 tags the RT path in
+  /// results and spans.
+  void Execute(std::vector<sched::QueuedRequest> unit, int rt_lane);
 
   /// RT-tier routing (no-ops unless config_.rt.enabled):
   /// the effective priority class a submission will enqueue under.
@@ -389,13 +390,10 @@ class ServerlessPlatform {
   /// Hand one pump job to the RT lanes; on a full ring, degrade to a
   /// shared-pool task so the request never strands (counted as a fallback).
   void KickRtLane();
-  /// One RT dispatch: pop exactly one interactive-class request (no
-  /// coalescing) and execute it on the calling lane.
-  void RtPumpOne();
+  /// One RT dispatch: pop one interactive-class unit and execute it on the
+  /// calling lane.
+  void RtPump();
   static void RtPumpTrampoline(void* self);
-  /// Execute a single request on the calling thread and resolve its promise
-  /// (`rt_lane` >= 0 tags the RT path in result + span).
-  void DispatchOne(sched::QueuedRequest qr, int rt_lane);
   /// Feed the per-class wait/exec histograms (no-op until RegisterMetrics).
   void ObserveClassLatency(int cls, TimeMicros wait, TimeMicros exec);
 

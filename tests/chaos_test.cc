@@ -53,17 +53,16 @@ class ChaosTest : public ::testing::Test {
     graph_ = *graph;
     ASSERT_TRUE(owner_->DeployModel(client_.get(), &storage_, *graph).ok());
 
-    PlatformConfig config;
-    config.num_nodes = 2;
+    config_.num_nodes = 2;
     // Tight retry/relaunch backoffs so the soak converges in test time; the
     // policy shape (jittered, bounded, idempotent-only) is what's under test.
-    config.recovery.retry.max_attempts = 3;
-    config.recovery.retry.backoff_base_micros = 50;
-    config.recovery.retry.backoff_max_micros = 500;
-    config.recovery.relaunch_max_attempts = 1000;
-    config.recovery.relaunch_backoff_base_micros = 100;
-    config.recovery.relaunch_backoff_max_micros = 1000;
-    platform_ = std::make_unique<ServerlessPlatform>(config, &authority_,
+    config_.recovery.retry.max_attempts = 3;
+    config_.recovery.retry.backoff_base_micros = 50;
+    config_.recovery.retry.backoff_max_micros = 500;
+    config_.recovery.relaunch_max_attempts = 1000;
+    config_.recovery.relaunch_backoff_base_micros = 100;
+    config_.recovery.relaunch_backoff_max_micros = 1000;
+    platform_ = std::make_unique<ServerlessPlatform>(config_, &authority_,
                                                      &storage_, keyservice_.get());
 
     FunctionSpec fn;
@@ -91,6 +90,7 @@ class ChaosTest : public ::testing::Test {
   std::unique_ptr<ModelUser> user_;
   storage::InMemoryObjectStore storage_;
   model::ModelGraph graph_;
+  PlatformConfig config_;
   std::unique_ptr<ServerlessPlatform> platform_;
 };
 
@@ -233,12 +233,42 @@ TEST_F(ChaosTest, IdempotentStageFaultIsRetriedTransparently) {
   config.probability = 1.0;
   config.max_fires = 1;
   config.error_code = StatusCode::kUnavailable;
-  ScopedFault fault(faults::kStorageGet, config);
+  {
+    ScopedFault fault(faults::kStorageGet, config);
+    auto r = platform_->Invoke("predict", BuildRequest());
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(platform_->recovery_stats().retries, 1u);
+    EXPECT_EQ(platform_->recovery_stats().enclave_failures, 0u);
+  }
 
-  auto r = platform_->Invoke("predict", BuildRequest());
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(platform_->recovery_stats().retries, 1u);
-  EXPECT_EQ(platform_->recovery_stats().enclave_failures, 0u);
+  // The same rule for a coalesced unit: the fault fails the shared model
+  // fetch for all four requests at once, so the unit is retried as a whole.
+  // One dispatcher, so the paused backlog forms one unit.
+  PlatformConfig batched_config = config_;
+  batched_config.max_inflight = 1;
+  ServerlessPlatform batched(batched_config, &authority_, &storage_,
+                             keyservice_.get());
+  FunctionSpec fn;
+  fn.name = "predict";
+  fn.sched.max_batch = 4;
+  ASSERT_TRUE(batched.DeployFunction(fn).ok());
+  ScopedFault fault(faults::kStorageGet, config);
+  batched.PauseDispatch();
+  std::vector<std::future<InvocationResult>> futures;
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(batched.InvokeAsync("predict", BuildRequest()));
+  }
+  batched.ResumeDispatch();
+  int ok = 0;
+  for (auto& future : futures) {
+    InvocationResult out = future.get();
+    EXPECT_TRUE(out.response.ok()) << out.response.status().ToString();
+    EXPECT_EQ(out.batch_size, 4);
+    ok += out.response.ok() ? 1 : 0;
+  }
+  EXPECT_EQ(ok, 4);
+  EXPECT_EQ(batched.recovery_stats().retries, 1u);
+  EXPECT_EQ(batched.recovery_stats().enclave_failures, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -37,6 +37,15 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them), so
+// every allocation is counted and released through the same malloc/free pair.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size != 0 ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -609,6 +618,9 @@ TEST_F(ObsLiveTest, ClusterInvocationYieldsConnectedSpanTree) {
 }
 
 TEST_F(ObsLiveTest, PlatformMetricsSurfaceInRegistry) {
+  // Declared before the platform, so it outlives the platform's collector
+  // (which deregisters from it in the platform's destructor).
+  obs::MetricsRegistry registry;
   serverless::PlatformConfig config;
   serverless::ServerlessPlatform platform(config, &authority_, &storage_,
                                           keyservice_.get());
@@ -616,7 +628,6 @@ TEST_F(ObsLiveTest, PlatformMetricsSurfaceInRegistry) {
   spec.name = "f";
   ASSERT_TRUE(platform.DeployFunction(spec).ok());
 
-  obs::MetricsRegistry registry;
   platform.RegisterMetrics(&registry, {{"node", "7"}});
   // Async path: this one goes through the scheduler, so the sched counters
   // move too.

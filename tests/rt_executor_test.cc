@@ -244,7 +244,11 @@ TEST(RtExecutorTest, BusyLaneClampsBulkHelpersAndReleasesOnIdle) {
     }
     gate.cv.notify_all();
     while (exec.stats().busy_lanes != 0) std::this_thread::yield();
-    // Busy 1 -> 0 removed it.
+    // Busy 1 -> 0 removed it. The lane publishes the idle count one store
+    // before it lifts the clamp, so give that store a bounded moment to land.
+    for (int i = 0; i < 1000000 && BulkHelperLimit() != 0; ++i) {
+      std::this_thread::yield();
+    }
     EXPECT_EQ(BulkHelperLimit(), 0);
   }
 }

@@ -1,13 +1,14 @@
 // Latency-class isolation regression tests: with the bulk classes saturated,
-// interactive requests must (a) execute exclusively on RT lane threads —
-// never on a shared-pool worker (thread-identity assertion via
-// InvocationResult::exec_thread / rt_lane), and (b) keep a p99 latency far
-// below the saturated bulk path (the documented 0.5x bound, see
-// docs/ARCHITECTURE.md "Execution tiers"). Also covers the RT-disabled
-// identity (zeroed stats, rt_lane == -1) and pause/resume across the tier.
+// interactive requests must execute exclusively on RT lane threads — never
+// on a shared-pool worker (thread-identity assertion via
+// InvocationResult::exec_thread / rt_lane). The latency bound this buys
+// (interactive p99 <= 0.5x the shared path, docs/ARCHITECTURE.md "Execution
+// tiers") is wall-clock, so it is gated by the retrying
+// `bench_sched --isolation-check` CI step, not here. Also covers the
+// RT-disabled identity (zeroed stats, rt_lane == -1) and pause/resume across
+// the tier.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -124,57 +125,35 @@ class RtIsolationTest : public ::testing::Test {
   std::unique_ptr<ServerlessPlatform> platform_;
 };
 
-int64_t PercentileUs(std::vector<int64_t> samples, double pct) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  const double rank =
-      pct / 100.0 * static_cast<double>(samples.size() - 1);
-  return samples[static_cast<size_t>(rank + 0.5)];
-}
-
 TEST_F(RtIsolationTest, InteractiveNeverExecutesOnBulkPoolUnderSaturation) {
   BuildPlatform(/*rt_enabled=*/true);
   Deploy("bulk", /*priority=*/1, /*max_batch=*/4);
   Deploy("interactive", /*priority=*/0);
 
-  // Deep bulk backlog: its e2e p99 must dwarf any lane scheduling jitter so
-  // the 0.5x ratio assertion has headroom on noisy unpinned CI runners.
+  // Deep bulk backlog, so the shared pool stays busy while the interactive
+  // requests arrive.
   constexpr int kBulk = 96;
   constexpr int kInteractive = 16;
 
-  // Warm both paths so the measured phase compares steady-state latency,
-  // not cold-start amortization.
+  // Warm both paths so each has its container before the saturation phase.
   ASSERT_TRUE(Fire("bulk", "m0").get().response.ok());
   ASSERT_TRUE(Fire("interactive").get().response.ok());
 
   // Saturate the bulk class first, then trickle interactive requests in
   // while the shared pool is busy chewing through the backlog.
-  const auto bulk_start = std::chrono::steady_clock::now();
   std::vector<std::future<InvocationResult>> bulk;
   bulk.reserve(kBulk);
   for (int i = 0; i < kBulk; ++i) bulk.push_back(Fire("bulk", "m0"));
 
-  std::vector<int64_t> interactive_us;
   std::vector<InvocationResult> interactive;
   interactive.reserve(kInteractive);
   for (int i = 0; i < kInteractive; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    InvocationResult r = Fire("interactive").get();
-    interactive_us.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
-                                 std::chrono::steady_clock::now() - start)
-                                 .count());
-    interactive.push_back(std::move(r));
+    interactive.push_back(Fire("interactive").get());
   }
 
   std::set<uint64_t> bulk_threads;
-  std::vector<int64_t> bulk_e2e_us;
   for (auto& f : bulk) {
     InvocationResult r = f.get();
-    // All bulk futures were fired within microseconds of bulk_start, so
-    // completion offset ~= this request's end-to-end queue+exec time.
-    bulk_e2e_us.push_back(std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now() - bulk_start)
-                              .count());
     ASSERT_TRUE(r.response.ok()) << r.response.status().ToString();
     EXPECT_EQ(r.rt_lane, -1);
     bulk_threads.insert(r.exec_thread);
@@ -193,16 +172,6 @@ TEST_F(RtIsolationTest, InteractiveNeverExecutesOnBulkPoolUnderSaturation) {
   EXPECT_TRUE(rt.enabled);
   EXPECT_EQ(rt.lanes, 1);
   EXPECT_GE(rt.dispatches, static_cast<uint64_t>(kInteractive));
-
-  // Documented bound: under bulk saturation, interactive p99 (queue + exec)
-  // stays within 0.5x of the saturated bulk end-to-end p99. The margin in
-  // practice is much larger — 0.5x (with a small floor for fast machines)
-  // keeps the assertion robust on noisy CI runners.
-  const int64_t interactive_p99 = PercentileUs(interactive_us, 99.0);
-  const int64_t bulk_e2e_p99 = PercentileUs(bulk_e2e_us, 99.0);
-  EXPECT_LE(interactive_p99, std::max<int64_t>(bulk_e2e_p99 / 2, 2000))
-      << "interactive p99 " << interactive_p99 << "us vs bulk e2e p99 "
-      << bulk_e2e_p99 << "us";
 }
 
 TEST_F(RtIsolationTest, RtDisabledKeepsSharedPathAndZeroStats) {

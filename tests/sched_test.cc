@@ -517,29 +517,7 @@ TEST(SchedulerTest, MaskedPopBatchServesOnlyRequestedClasses) {
   EXPECT_EQ(scheduler.TotalDepth(), 1u);
 }
 
-TEST(SchedulerTest, PopOneBypassesBatchCoalescing) {
-  ManualClock clock;
-  RequestScheduler scheduler(SchedulerConfig{}, &clock);
-  FunctionSchedParams params;
-  params.max_batch = 4;
-  params.priority = 0;
-  ASSERT_TRUE(scheduler.RegisterFunction("f", params).ok());
-
-  // Four coalescible same-model requests: the RT pop takes exactly one —
-  // lookahead batching is a throughput tool the latency tier must not pay.
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(scheduler.Submit(Make("f"), 0).ok());
-  QueuedRequest out;
-  ASSERT_TRUE(scheduler.PopOne(ClassMaskOf(0), &out, nullptr));
-  EXPECT_EQ(out.priority, 0);
-  EXPECT_EQ(scheduler.TotalDepth(), 3u);
-  EXPECT_EQ(scheduler.stats().dispatched, 1u);
-
-  // Masked away: the pop must refuse even with a queued backlog.
-  EXPECT_FALSE(scheduler.PopOne(ClassMaskOf(1), &out, nullptr));
-  EXPECT_EQ(scheduler.TotalDepth(), 3u);
-}
-
-TEST(SchedulerTest, PopOneShedsExpiredDeadlines) {
+TEST(SchedulerTest, MaskedPopBatchShedsExpiredDeadlines) {
   ManualClock clock;
   SchedulerConfig config;
   config.policy = PolicyKind::kDeadlineEdf;
@@ -556,12 +534,14 @@ TEST(SchedulerTest, PopOneShedsExpiredDeadlines) {
                   .ok());
   clock.Advance(200);  // first deadline passed while queued
 
+  // The RT lanes' pop: masked to the interactive class, shedding the expired
+  // head on the way to the live request behind it.
   std::vector<QueuedRequest> expired;
-  QueuedRequest out;
-  ASSERT_TRUE(scheduler.PopOne(kAllClasses, &out, &expired));
+  std::vector<QueuedRequest> batch = scheduler.PopBatch(ClassMaskOf(0), &expired);
+  ASSERT_EQ(batch.size(), 1u);
   ASSERT_EQ(expired.size(), 1u);
   EXPECT_EQ(expired[0].deadline, 100);
-  EXPECT_EQ(out.deadline, SecondsToMicros(10));
+  EXPECT_EQ(batch[0].deadline, SecondsToMicros(10));
   EXPECT_EQ(scheduler.stats().drops, 1u);
 }
 

@@ -213,6 +213,88 @@ TEST_F(SemirtTest, TamperedRequestRejected) {
   EXPECT_TRUE(r.status().IsUnauthenticated());
 }
 
+TEST_F(SemirtTest, BatchPipelineFailsOnlyTheBadEntries) {
+  // One enclave entry for a 4-entry unit: two valid requests, one with a
+  // flipped ciphertext byte, and one from another user. Only the bad entries
+  // fail, each with its own typed error, and the other user's keys never
+  // enter the enclave serving this session.
+  SemirtOptions options;
+  Authorize("m0", options);
+  ModelUser bob("bob");
+  ASSERT_TRUE(bob.Register(client_.get()).ok());
+  const sgx::Measurement es = SemirtInstance::MeasurementFor(options);
+  ASSERT_TRUE(owner_->GrantAccess(client_.get(), "m0", es, bob.id()).ok());
+  ASSERT_TRUE(bob.ProvisionRequestKey(client_.get(), "m0", es).ok());
+  auto instance = MakeInstance(options);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+
+  std::vector<InferenceRequest> requests;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    auto request =
+        user_->BuildRequest("m0", model::GenerateRandomInput(graphs_["m0"], seed));
+    ASSERT_TRUE(request.ok());
+    requests.push_back(std::move(*request));
+  }
+  Bytes& tampered = requests[2].encrypted_input;
+  tampered[tampered.size() / 2] ^= 1;
+  auto foreign = bob.BuildRequest("m0", model::GenerateRandomInput(graphs_["m0"], 4));
+  ASSERT_TRUE(foreign.ok());
+  requests.push_back(std::move(*foreign));
+
+  std::vector<const InferenceRequest*> batch;
+  for (const InferenceRequest& request : requests) batch.push_back(&request);
+  std::vector<Result<Bytes>> results = (*instance)->HandleRequestBatch(batch);
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_TRUE(results[2].status().IsUnauthenticated())
+      << results[2].status().ToString();
+  EXPECT_TRUE(results[3].status().IsInvalidArgument())
+      << results[3].status().ToString();
+  EXPECT_EQ((*instance)->stats().key_fetches, 1);
+
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    auto single = (*instance)->HandleRequest(requests[i]);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    auto batched_output = user_->DecryptResult("m0", *results[i]);
+    auto single_output = user_->DecryptResult("m0", *single);
+    ASSERT_TRUE(batched_output.ok());
+    ASSERT_TRUE(single_output.ok());
+    auto batched_scores = model::ParseOutput(*batched_output);
+    auto single_scores = model::ParseOutput(*single_output);
+    ASSERT_TRUE(batched_scores.ok());
+    ASSERT_TRUE(single_scores.ok());
+    ASSERT_EQ(batched_scores->size(), single_scores->size());
+    for (size_t j = 0; j < single_scores->size(); ++j) {
+      EXPECT_NEAR((*batched_scores)[j], (*single_scores)[j], 1e-5f)
+          << "entry " << i << " score " << j;
+    }
+  }
+}
+
+TEST_F(SemirtTest, LaunchedEnclaveCarriesPublishedMeasurement) {
+  // MeasurementFor is the identity users attest and write grants for; a
+  // launched enclave must carry exactly it, for every identity field.
+  std::vector<SemirtOptions> variants(7);
+  variants[1].framework = inference::FrameworkKind::kTflm;
+  variants[2].quantize = true;
+  variants[3].num_tcs = 4;
+  variants[4].sequential_mode = true;
+  variants[4].disable_key_cache = true;
+  variants[5].fixed_model_id = "m0";
+  variants[6].round_scores_decimals = 2;
+  const sgx::Measurement base = SemirtInstance::MeasurementFor(variants[0]);
+  for (size_t i = 0; i < variants.size(); ++i) {
+    auto instance = MakeInstance(variants[i]);
+    ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+    const sgx::Measurement published = SemirtInstance::MeasurementFor(variants[i]);
+    EXPECT_TRUE((*instance)->enclave()->mrenclave() == published)
+        << "variant " << i;
+    if (i > 0) {
+      EXPECT_FALSE(published == base) << "variant " << i << " left the identity";
+    }
+  }
+}
+
 TEST_F(SemirtTest, RequestCannotBeRetargetedAtAnotherModel) {
   SemirtOptions options;
   Authorize("m0", options);

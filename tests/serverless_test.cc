@@ -611,6 +611,37 @@ TEST_F(ServerlessTest, ExecutionDeadlineCutsExpiredRequestBeforeEnclaveEntry) {
   EXPECT_EQ(platform_->stats().invocations, 0);  // never reached an enclave
   EXPECT_EQ(platform_->stats().deadline_cuts, 1u);
   EXPECT_EQ(platform_->recovery_stats().deadline_cuts, 1u);
+
+  // The same rule for a coalesced unit: a paused max_batch = 4 backlog whose
+  // deadlines all passed is cut before it acquires a container — no cold
+  // start, no enclave entry. One dispatcher, so the four form one unit.
+  PlatformConfig config;
+  config.max_inflight = 1;
+  ServerlessPlatform batched(config, &authority_, &storage_, keyservice_.get(),
+                             &clock_);
+  FunctionSpec spec;
+  spec.name = "predict";
+  spec.sched.max_batch = 4;
+  ASSERT_TRUE(batched.DeployFunction(spec).ok());
+  batched.PauseDispatch();
+  options.deadline = clock_.Now() + 1000;
+  std::vector<std::future<InvocationResult>> futures;
+  for (int i = 0; i < 4; ++i) {
+    auto queued = user_->BuildRequest("m0", input);
+    ASSERT_TRUE(queued.ok());
+    futures.push_back(batched.InvokeAsync("predict", std::move(*queued), options));
+  }
+  clock_.Advance(SecondsToMicros(5));
+  batched.ResumeDispatch();
+  for (auto& future : futures) {
+    InvocationResult cut = future.get();
+    EXPECT_EQ(cut.response.status().code(), StatusCode::kDeadlineExceeded)
+        << cut.response.status().ToString();
+  }
+  EXPECT_EQ(batched.stats().invocations, 0);
+  EXPECT_EQ(batched.stats().cold_starts, 0);
+  EXPECT_EQ(batched.ContainerCount(), 0);
+  EXPECT_EQ(batched.stats().deadline_cuts, 4u);
 }
 
 }  // namespace
