@@ -79,8 +79,10 @@ void TimeoutAblation() {
     pool.exclusive_idle_timeout = SecondsToMicros(timeout_s);
     fnpacker::FnPackerRouter router(pool);
     FnPackerRun run = RunWithRouter(&router);
-    std::printf("%-14.0f %14.2f %14d %10d\n", timeout_s, run.poisson_avg_ms,
-                router.stats().model_switches, router.stats().overflow);
+    std::printf("%-14.0f %14.2f %14llu %10llu\n", timeout_s, run.poisson_avg_ms,
+                static_cast<unsigned long long>(
+                    router.counters().model_switches.Value()),
+                static_cast<unsigned long long>(router.counters().overflow.Value()));
   }
   std::printf("(too-short timeouts let cold models steal hot endpoints — more\n"
               " switches; too-long timeouts under-utilize idle endpoints)\n");

@@ -119,27 +119,29 @@ void ReplayAndParitySections() {
         return bound;
       });
 
-  cluster::ClusterStats stats = rig.dataplane->stats();
+  const cluster::ClusterDataplane& dataplane = *rig.dataplane;
+  const cluster::ClusterCounters& counters = dataplane.counters();
+  const int nodes = dataplane.total_nodes();
   uint64_t routed_total = 0, routed_max = 0;
-  for (const auto& node : stats.nodes) {
-    routed_total += node.routed;
-    routed_max = std::max(routed_max, node.routed);
+  for (int i = 0; i < nodes; ++i) {
+    const uint64_t routed = dataplane.node_counters(i).routed.Value();
+    routed_total += routed;
+    routed_max = std::max(routed_max, routed);
   }
   const double routed_mean =
-      stats.nodes.empty() ? 0
-                          : static_cast<double>(routed_total) /
-                                static_cast<double>(stats.nodes.size());
+      nodes == 0 ? 0
+                 : static_cast<double>(routed_total) / static_cast<double>(nodes);
   const double skew =
       routed_mean > 0 ? static_cast<double>(routed_max) / routed_mean : 0;
+  const uint64_t invocations = counters.invocations.Value();
   const double steal_rate =
-      stats.invocations > 0
-          ? static_cast<double>(stats.steals) / static_cast<double>(stats.invocations)
-          : 0;
+      invocations > 0 ? static_cast<double>(counters.steals.Value()) /
+                            static_cast<double>(invocations)
+                      : 0;
   const double home_rate =
-      stats.invocations > 0
-          ? static_cast<double>(stats.home_hits) /
-                static_cast<double>(stats.invocations)
-          : 0;
+      invocations > 0 ? static_cast<double>(counters.home_hits.Value()) /
+                            static_cast<double>(invocations)
+                      : 0;
 
   std::printf(
       "{\"bench\":\"cluster\",\"section\":\"replay\",\"nodes\":%d,"
@@ -152,16 +154,17 @@ void ReplayAndParitySections() {
       real.submitted - real.ok, real.wall_s, real.throughput_rps,
       real.mean_latency_s * 1e3, real.p50_latency_s * 1e3,
       real.p99_latency_s * 1e3, real.cold_starts, steal_rate, home_rate,
-      static_cast<unsigned long long>(stats.reroutes), skew);
-  for (size_t i = 0; i < stats.nodes.size(); ++i) {
-    const cluster::ClusterNodeStats& node = stats.nodes[i];
+      static_cast<unsigned long long>(counters.reroutes.Value()), skew);
+  for (int i = 0; i < nodes; ++i) {
+    const cluster::NodeRoutingCounters& node = dataplane.node_counters(i);
+    const uint64_t routed = node.routed.Value();
     std::printf(
         "%s{\"node\":%d,\"routed\":%llu,\"inv_per_s\":%.1f,"
         "\"steal_wins\":%llu,\"containers\":%d}",
-        i == 0 ? "" : ",", node.node,
-        static_cast<unsigned long long>(node.routed),
-        real.wall_s > 0 ? static_cast<double>(node.routed) / real.wall_s : 0,
-        static_cast<unsigned long long>(node.steal_wins), node.containers);
+        i == 0 ? "" : ",", i, static_cast<unsigned long long>(routed),
+        real.wall_s > 0 ? static_cast<double>(routed) / real.wall_s : 0,
+        static_cast<unsigned long long>(node.steal_wins.Value()),
+        rig.dataplane->node(i)->ContainerCount());
   }
   std::printf("]}\n");
 
@@ -241,15 +244,15 @@ void AutoscaleSection() {
 
   int ticks_to_idle = 0;
   while (rig.dataplane->AutoscaleTick() < 0) ticks_to_idle++;
-  cluster::ClusterStats stats = rig.dataplane->stats();
+  const cluster::ClusterCounters& counters = rig.dataplane->counters();
   std::printf(
       "{\"bench\":\"cluster\",\"section\":\"autoscale\",\"backlog\":%d,"
       "\"ok\":%zu,\"peak_nodes\":%d,\"final_nodes\":%d,"
       "\"scale_ups\":%llu,\"scale_downs\":%llu,\"ticks_to_peak\":%d,"
       "\"ticks_to_idle\":%d}\n",
       backlog, ok, peak_nodes, rig.dataplane->active_nodes(),
-      static_cast<unsigned long long>(stats.scale_ups),
-      static_cast<unsigned long long>(stats.scale_downs), ticks_to_peak,
+      static_cast<unsigned long long>(counters.scale_ups.Value()),
+      static_cast<unsigned long long>(counters.scale_downs.Value()), ticks_to_peak,
       ticks_to_idle);
   std::printf(
       "(shape check: peak_nodes > 1 while the backlog is gated; scale_downs\n"

@@ -1,6 +1,7 @@
 #ifndef SESEMI_BENCH_BENCH_COMMON_H_
 #define SESEMI_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -70,6 +71,14 @@ inline double StageMeanSeconds(const std::vector<obs::StageRollup>& rollup,
     }
   }
   return 0.0;
+}
+
+/// Nearest-rank percentile of `samples` (microseconds); 0 when empty.
+inline double PercentileUs(std::vector<double> samples, double pct) {
+  if (samples.empty()) return 0;
+  std::sort(samples.begin(), samples.end());
+  const double rank = pct / 100.0 * static_cast<double>(samples.size() - 1);
+  return samples[static_cast<size_t>(rank + 0.5)];
 }
 
 /// A live end-to-end rig for measured (as opposed to calibrated) numbers:

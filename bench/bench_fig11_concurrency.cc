@@ -147,6 +147,7 @@ void LiveConcurrencySection() {
     }
   }
 
+  std::vector<double> sweep_waits;  // every request of the sweep
   for (int in_flight : {1, 2, 4, 8, 16, 32}) {
     const int total = in_flight * 8;
     std::vector<double> latencies;
@@ -163,6 +164,7 @@ void LiveConcurrencySection() {
       }
       serverless::InvocationResult result = window.front().get();
       window.pop_front();
+      sweep_waits.push_back(static_cast<double>(result.queue_wait));
       if (result.response.ok()) {
         latencies.push_back(static_cast<double>(result.timings.total));
       } else {
@@ -211,30 +213,31 @@ void LiveConcurrencySection() {
     const double wave_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    const serverless::RecoveryStats rs = platform.recovery_stats();
+    const serverless::PlatformCounters& rs = platform.counters();
     std::printf(
         "{\"bench\":\"fig11_recovery\",\"burst\":%d,\"error_rate\":%.4f,"
         "\"recovered_per_s\":%.1f,\"wave_ok\":%d,\"wave_n\":%d,"
         "\"enclave_failures\":%llu,\"relaunches\":%llu,\"retries\":%llu}\n",
         burst, static_cast<double>(burst_errors) / burst,
         wave_s > 0 ? wave_ok / wave_s : 0.0, wave_ok, wave,
-        static_cast<unsigned long long>(rs.enclave_failures),
-        static_cast<unsigned long long>(rs.relaunches),
-        static_cast<unsigned long long>(rs.retries));
+        static_cast<unsigned long long>(rs.enclave_failures.Value()),
+        static_cast<unsigned long long>(rs.relaunches.Value()),
+        static_cast<unsigned long long>(rs.retries.Value()));
   }
   // Scheduler's view of the sweep (the live section now runs through
-  // src/sched): dispatch counts, coalescing, and queue-wait percentiles.
-  const sched::SchedStats sched_stats = platform.scheduler_stats();
+  // src/sched): dispatch counts, coalescing, and the queue-wait percentiles
+  // of the sweep's requests.
+  const sched::RequestScheduler& scheduler = platform.scheduler();
   std::printf(
       "{\"bench\":\"fig11_sched\",\"policy\":\"%s\",\"dispatched\":%llu,"
       "\"batches\":%llu,\"avg_batch\":%.2f,\"queue_depth\":%zu,"
       "\"wait_p50_us\":%lld,\"wait_p99_us\":%lld}\n",
-      sched_stats.policy,
-      static_cast<unsigned long long>(sched_stats.dispatched),
-      static_cast<unsigned long long>(sched_stats.batches),
-      sched_stats.avg_batch_size, sched_stats.queue_depth,
-      static_cast<long long>(sched_stats.wait[1].p50),
-      static_cast<long long>(sched_stats.wait[1].p99));
+      sched::ToString(scheduler.policy_kind()),
+      static_cast<unsigned long long>(scheduler.counters().dispatched.Value()),
+      static_cast<unsigned long long>(scheduler.counters().batches.Value()),
+      scheduler.counters().avg_batch_size(), platform.queue_depth(),
+      static_cast<long long>(PercentileUs(sweep_waits, 50.0)),
+      static_cast<long long>(PercentileUs(sweep_waits, 99.0)));
   std::printf(
       "(shape check: inv_per_s scales with in_flight up to the core count on a\n"
       " multi-core runner; p50 stays near the single-request latency until the\n"

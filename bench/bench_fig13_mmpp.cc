@@ -117,13 +117,6 @@ void RunModel(const char* title, const char* section, model::Architecture arch) 
       results[semirt::RuntimeMode::kNative].overall_avg, improvement);
 }
 
-double PercentileUs(std::vector<double> samples, double pct) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = pct / 100.0 * static_cast<double>(samples.size() - 1);
-  return samples[static_cast<size_t>(rank + 0.5)];
-}
-
 // Live per-class serving: the paper's MMPP arrival process, time-compressed,
 // with every k-th arrival promoted to the interactive class. The platform
 // runs with the RT tier on, so class 0 rides dedicated lanes while the bulk
@@ -228,7 +221,7 @@ void ClassesSection() {
     return;
   }
 
-  const serverless::RtTierStats rt = platform.rt_stats();
+  const serverless::PlatformCounters& counters = platform.counters();
   std::printf("%-14s %10s %12s %12s\n", "class", "inv/s", "p50 (us)", "p99 (us)");
   std::printf("%-14s %10.1f %12.0f %12.0f\n", "interactive",
               interactive_ok / wall_s, PercentileUs(interactive_us, 50.0),
@@ -236,8 +229,8 @@ void ClassesSection() {
   std::printf("%-14s %10.1f %12.0f %12.0f\n", "bulk", bulk_ok / wall_s,
               PercentileUs(bulk_us, 50.0), PercentileUs(bulk_us, 99.0));
   std::printf("rt lane dispatches: %llu (fallbacks %llu)\n",
-              static_cast<unsigned long long>(rt.dispatches),
-              static_cast<unsigned long long>(rt.fallbacks));
+              static_cast<unsigned long long>(counters.rt_dispatches.Value()),
+              static_cast<unsigned long long>(counters.rt_fallbacks.Value()));
   std::printf(
       "{\"bench\":\"fig13\",\"section\":\"%s\","
       "\"interactive_inv_per_s\":%.1f,\"interactive_p50_us\":%.0f,"
@@ -248,8 +241,8 @@ void ClassesSection() {
       PercentileUs(interactive_us, 50.0),
       PercentileUs(interactive_us, 99.0), bulk_ok / wall_s,
       PercentileUs(bulk_us, 50.0), PercentileUs(bulk_us, 99.0),
-      static_cast<unsigned long long>(rt.dispatches),
-      static_cast<unsigned long long>(rt.fallbacks),
+      static_cast<unsigned long long>(counters.rt_dispatches.Value()),
+      static_cast<unsigned long long>(counters.rt_fallbacks.Value()),
       g_quantize ? "true" : "false");
 }
 

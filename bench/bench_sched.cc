@@ -8,7 +8,8 @@
 //      GEMM: avg batch size > 1 and higher inv/s than max_batch=1 at >= 8
 //      queued same-model requests;
 //  (c) admission — token-bucket drops and strict priority classes visible in
-//      the stats snapshot (typed rejects, per-class queue-wait p50/p99).
+//      the scheduler's counters (typed rejects) and the requests' per-class
+//      queue waits.
 //
 // Flags: --quick shrinks request counts (CI / TSan smoke);
 // --overhead-check runs ONLY a tracing-overhead probe — alternating
@@ -204,7 +205,9 @@ void BatchingSection() {
 
     // Warm-up: provision the container, the TCS runtime, and (for the
     // batched config) the runtime's cached batch arena — the measured round
-    // is the steady state, as in the other live sweeps.
+    // is the steady state, as in the other live sweeps. Queue waits are
+    // kept from both rounds.
+    std::vector<double> waits;
     auto drain_burst = [&](bool measured, double* wall_out, int* ok_out,
                            int* max_seen_out) {
       rig.platform->PauseDispatch();
@@ -222,6 +225,7 @@ void BatchingSection() {
         serverless::InvocationResult result = future.get();
         if (result.response.ok()) ok++;
         max_seen = std::max(max_seen, result.batch_size);
+        waits.push_back(static_cast<double>(result.queue_wait));
       }
       const double wall_s =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -239,16 +243,16 @@ void BatchingSection() {
     if (!drain_burst(/*measured=*/false, &wall_s, &ok, &max_seen)) return;
     if (!drain_burst(/*measured=*/true, &wall_s, &ok, &max_seen)) return;
 
-    const sched::SchedStats stats = rig.platform->scheduler_stats();
     std::printf(
         "{\"bench\":\"sched\",\"section\":\"batching\",\"max_batch\":%d,"
         "\"requests\":%d,\"ok\":%d,\"wall_s\":%.4f,\"inv_per_s\":%.1f,"
         "\"avg_batch\":%.2f,\"max_batch_seen\":%d,\"p50_wait_us\":%lld,"
         "\"p99_wait_us\":%lld}\n",
         max_batch, requests, ok, wall_s,
-        wall_s > 0 ? ok / wall_s : 0.0, stats.avg_batch_size, max_seen,
-        static_cast<long long>(stats.wait[1].p50),
-        static_cast<long long>(stats.wait[1].p99));
+        wall_s > 0 ? ok / wall_s : 0.0,
+        rig.platform->scheduler().counters().avg_batch_size(), max_seen,
+        static_cast<long long>(PercentileUs(waits, 50.0)),
+        static_cast<long long>(PercentileUs(waits, 99.0)));
   }
   std::printf(
       "(shape check: max_batch=8 shows avg_batch > 1 and higher inv_per_s\n"
@@ -284,14 +288,15 @@ void AdmissionSection() {
       serverless::InvocationResult result = future.get();
       result.response.ok() ? ok++ : rejected++;
     }
-    const sched::SchedStats stats = rig.platform->scheduler_stats();
+    const sched::AdmissionCounters& admission =
+        rig.platform->scheduler().admission_counters();
     std::printf(
         "{\"bench\":\"sched\",\"section\":\"admission\",\"burst\":%d,"
         "\"bucket\":8,\"ok\":%d,\"rejected\":%d,\"rejected_rate\":%llu,"
         "\"rejected_depth\":%llu}\n",
         burst, ok, rejected,
-        static_cast<unsigned long long>(stats.rejected_rate),
-        static_cast<unsigned long long>(stats.rejected_depth));
+        static_cast<unsigned long long>(admission.rejected_rate.Value()),
+        static_cast<unsigned long long>(admission.rejected_depth.Value()));
   }
 
   // Priority classes: a paused backlog of P2 work plus late-arriving P0 work;
@@ -328,24 +333,27 @@ void AdmissionSection() {
     }
     rig.platform->ResumeDispatch();
     uint64_t p0_last_dispatch = 0, p2_first_dispatch = ~0ull;
+    std::vector<double> p0_waits, p2_waits;
     for (size_t i = 0; i < futures.size(); ++i) {
       serverless::InvocationResult result = futures[i].get();
+      const bool p2 = i < static_cast<size_t>(per_class);
+      const double wait = static_cast<double>(result.queue_wait);
+      (p2 ? p2_waits : p0_waits).push_back(wait);
       if (!result.response.ok()) continue;
-      if (i < static_cast<size_t>(per_class)) {
+      if (p2) {
         p2_first_dispatch = std::min(p2_first_dispatch, result.dispatch_seq);
       } else {
         p0_last_dispatch = std::max(p0_last_dispatch, result.dispatch_seq);
       }
     }
-    const sched::SchedStats stats = rig.platform->scheduler_stats();
     std::printf(
         "{\"bench\":\"sched\",\"section\":\"priority\",\"per_class\":%d,"
         "\"p0_last_dispatch\":%llu,\"p2_first_dispatch\":%llu,"
         "\"p0_wait_p50_us\":%lld,\"p2_wait_p50_us\":%lld}\n",
         per_class, static_cast<unsigned long long>(p0_last_dispatch),
         static_cast<unsigned long long>(p2_first_dispatch),
-        static_cast<long long>(stats.wait[0].p50),
-        static_cast<long long>(stats.wait[2].p50));
+        static_cast<long long>(PercentileUs(p0_waits, 50.0)),
+        static_cast<long long>(PercentileUs(p2_waits, 50.0)));
     std::printf(
         "(shape check: every P0 dispatch precedes the first P2 dispatch)\n");
   }
@@ -417,7 +425,7 @@ void RecoverySection() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  const serverless::RecoveryStats rs = rig.platform->recovery_stats();
+  const serverless::PlatformCounters& rs = rig.platform->counters();
   std::printf(
       "{\"bench\":\"sched\",\"section\":\"recovery\",\"chaos_requests\":%d,"
       "\"error_rate\":%.4f,\"recovered_per_s\":%.1f,\"wave_ok\":%d,"
@@ -425,10 +433,10 @@ void RecoverySection() {
       "\"relaunches\":%llu,\"quarantined_slots\":%llu}\n",
       chaos_n, static_cast<double>(chaos_errors) / chaos_n,
       wave_s > 0 ? wave_ok / wave_s : 0.0, wave_ok, wave_n,
-      static_cast<unsigned long long>(rs.retries),
-      static_cast<unsigned long long>(rs.enclave_failures),
-      static_cast<unsigned long long>(rs.relaunches),
-      static_cast<unsigned long long>(rs.quarantined_slots));
+      static_cast<unsigned long long>(rs.retries.Value()),
+      static_cast<unsigned long long>(rs.enclave_failures.Value()),
+      static_cast<unsigned long long>(rs.relaunches.Value()),
+      static_cast<unsigned long long>(rs.quarantined_slots.Value()));
   std::printf(
       "(shape check: error_rate well under the summed fault rates — retries\n"
       " absorb transient faults; wave_ok == wave_n once faults stop)\n");

@@ -26,8 +26,11 @@ int main() {
   std::printf("\n(paper: 1700.50 / 1456.01 / 1465.79 ms — FnPacker matches\n"
               " One-to-one because the hot models get exclusive endpoints, while\n"
               " All-in-one pays ~16%% extra from model switching interference)\n");
-  std::printf("FnPacker routing stats: %d routed, %d model switches, %d overflow\n",
-              fnpacker_router.stats().routed, fnpacker_router.stats().model_switches,
-              fnpacker_router.stats().overflow);
+  const fnpacker::RouterCounters& routing = fnpacker_router.counters();
+  std::printf(
+      "FnPacker routing stats: %llu routed, %llu model switches, %llu overflow\n",
+      static_cast<unsigned long long>(routing.routed.Value()),
+      static_cast<unsigned long long>(routing.model_switches.Value()),
+      static_cast<unsigned long long>(routing.overflow.Value()));
   return 0;
 }

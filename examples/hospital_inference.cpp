@@ -111,8 +111,10 @@ int main() {
   std::printf("[cloud ] rogue enclave build denied keys: %s\n",
               rogue_result.status().ToString().c_str());
 
-  std::printf("\nplatform stats: %d invocations, %d cold starts, %d containers\n",
-              cloud.stats().invocations, cloud.stats().cold_starts,
+  const serverless::PlatformCounters& counters = cloud.counters();
+  std::printf("\nplatform stats: %llu invocations, %llu cold starts, %d containers\n",
+              static_cast<unsigned long long>(counters.invocations.Value()),
+              static_cast<unsigned long long>(counters.cold_starts.Value()),
               cloud.ContainerCount());
   return 0;
 }

@@ -12,7 +12,7 @@ namespace sesemi::cluster {
 struct AutoscaleConfig {
   bool enabled = true;
   /// Add a node when the mean scheduler backlog per active node exceeds
-  /// this (requests queued, from scheduler_stats().queue_depth).
+  /// this (requests queued, from ServerlessPlatform::queue_depth()).
   double scale_up_backlog_per_node = 8.0;
   /// Remove a node when the mean backlog per active node falls below this
   /// AND no node is unhealthy.
@@ -38,8 +38,8 @@ struct AutoscaleConfig {
   int cooldown_ticks = 2;
 };
 
-/// One node's load sample for a tick, distilled from
-/// ServerlessPlatform::scheduler_stats() / recovery_stats() by the dataplane.
+/// One node's load sample for a tick, read by the dataplane from the node
+/// platform's queue depths, scheduler and platform counters, and RT lanes.
 struct NodeLoadSample {
   int node = 0;
   uint64_t queue_depth = 0;        ///< requests waiting in the node scheduler

@@ -99,7 +99,7 @@ std::future<InvocationResult> ClusterDataplane::InvokeAsync(
     }
   }
   if (preference.empty()) {
-    no_capacity_.fetch_add(1, std::memory_order_relaxed);
+    counters_.no_capacity.Inc();
     std::promise<InvocationResult> promise;
     InvocationResult result;
     result.response = Status::Unavailable("cluster: no active node");
@@ -149,7 +149,7 @@ std::future<InvocationResult> ClusterDataplane::InvokeAsync(
       NodeState* state = nodes_[static_cast<size_t>(attempts[i])].get();
       if (!state->active.load(std::memory_order_acquire)) continue;
       if (pass == 0 && !Healthy(*state, now)) {
-        reroutes_.fetch_add(1, std::memory_order_relaxed);
+        counters_.reroutes.Inc();
         obs::Tracer::EmitInstant(route.context(), obs::spans::kClusterReroute,
                                  "node", state->id);
         continue;
@@ -158,20 +158,20 @@ std::future<InvocationResult> ClusterDataplane::InvokeAsync(
       if (!probe.ok()) {
         state->unhealthy_until.store(now + config_.health_cooldown,
                                      std::memory_order_release);
-        reroutes_.fetch_add(1, std::memory_order_relaxed);
+        counters_.reroutes.Inc();
         obs::Tracer::EmitInstant(route.context(), obs::spans::kClusterReroute,
                                  "node", state->id);
         continue;
       }
-      state->routed.fetch_add(1, std::memory_order_relaxed);
+      state->counters.routed.Inc();
       if (stolen && state->id == first) {
-        state->steal_wins.fetch_add(1, std::memory_order_relaxed);
-        steals_.fetch_add(1, std::memory_order_relaxed);
+        state->counters.steal_wins.Inc();
+        counters_.steals.Inc();
         obs::Tracer::EmitInstant(route.context(), obs::spans::kClusterSteal,
                                  "node", state->id);
       }
-      if (state->id == home) home_hits_.fetch_add(1, std::memory_order_relaxed);
-      invocations_.fetch_add(1, std::memory_order_relaxed);
+      if (state->id == home) counters_.home_hits.Inc();
+      counters_.invocations.Inc();
       route.set_arg("node", state->id);
       return state->platform->InvokeAsync(function, std::move(request), options);
     }
@@ -183,7 +183,7 @@ std::future<InvocationResult> ClusterDataplane::InvokeAsync(
     }
   }
 
-  no_capacity_.fetch_add(1, std::memory_order_relaxed);
+  counters_.no_capacity.Inc();
   std::promise<InvocationResult> promise;
   InvocationResult result;
   result.response =
@@ -230,19 +230,22 @@ int ClusterDataplane::AutoscaleTick() {
   samples.reserve(nodes_.size());
   for (auto& node : nodes_) {
     if (!node->active.load(std::memory_order_acquire)) continue;
-    const sched::SchedStats sched_stats = node->platform->scheduler_stats();
-    const serverless::RecoveryStats recovery = node->platform->recovery_stats();
+    const serverless::ServerlessPlatform& platform = *node->platform;
+    const uint64_t dispatched = platform.scheduler().counters().dispatched.Value();
+    const uint64_t enclave_failures =
+        platform.counters().enclave_failures.Value();
     NodeLoadSample sample;
     sample.node = node->id;
-    sample.queue_depth = sched_stats.queue_depth;
-    sample.dispatched_delta = sched_stats.dispatched - node->last_dispatched;
+    sample.queue_depth = platform.queue_depth();
+    sample.dispatched_delta = dispatched - node->last_dispatched;
     sample.enclave_failures_delta =
-        recovery.enclave_failures - node->last_enclave_failures;
-    const serverless::RtTierStats rt = node->platform->rt_stats();
-    sample.rt_busy_lanes = rt.busy_lanes;
-    sample.interactive_depth = rt.interactive_depth;
-    node->last_dispatched = sched_stats.dispatched;
-    node->last_enclave_failures = recovery.enclave_failures;
+        enclave_failures - node->last_enclave_failures;
+    if (const RtExecutor* rt = platform.rt_executor()) {
+      sample.rt_busy_lanes = rt->stats().busy_lanes;
+    }
+    sample.interactive_depth = platform.interactive_depth();
+    node->last_dispatched = dispatched;
+    node->last_enclave_failures = enclave_failures;
     samples.push_back(sample);
   }
 
@@ -253,7 +256,7 @@ int ClusterDataplane::AutoscaleTick() {
       for (auto& node : nodes_) {
         if (!node->active.load(std::memory_order_acquire)) {
           if (ActivateNode(node->id).ok()) {
-            scale_ups_.fetch_add(1, std::memory_order_relaxed);
+            counters_.scale_ups.Inc();
             return +1;
           }
         }
@@ -273,42 +276,13 @@ int ClusterDataplane::AutoscaleTick() {
         }
       }
       if (victim >= 0 && DeactivateNode(victim).ok()) {
-        scale_downs_.fetch_add(1, std::memory_order_relaxed);
+        counters_.scale_downs.Inc();
         return -1;
       }
       return 0;
     }
   }
   return 0;
-}
-
-ClusterStats ClusterDataplane::stats() const {
-  ClusterStats stats;
-  stats.invocations = invocations_.load(std::memory_order_relaxed);
-  stats.home_hits = home_hits_.load(std::memory_order_relaxed);
-  stats.steals = steals_.load(std::memory_order_relaxed);
-  stats.reroutes = reroutes_.load(std::memory_order_relaxed);
-  stats.no_capacity = no_capacity_.load(std::memory_order_relaxed);
-  stats.scale_ups = scale_ups_.load(std::memory_order_relaxed);
-  stats.scale_downs = scale_downs_.load(std::memory_order_relaxed);
-  const TimeMicros now = clock_->Now();
-  stats.nodes.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    ClusterNodeStats ns;
-    ns.node = node->id;
-    ns.active = node->active.load(std::memory_order_acquire);
-    ns.healthy = Healthy(*node, now);
-    ns.routed = node->routed.load(std::memory_order_relaxed);
-    ns.steal_wins = node->steal_wins.load(std::memory_order_relaxed);
-    ns.queue_depth = node->platform->queue_depth();
-    ns.containers = node->platform->ContainerCount();
-    const serverless::RtTierStats rt = node->platform->rt_stats();
-    ns.rt_enabled = rt.enabled;
-    ns.rt_busy_lanes = rt.busy_lanes;
-    ns.rt_dispatches = rt.dispatches;
-    stats.nodes.push_back(ns);
-  }
-  return stats;
 }
 
 void ClusterDataplane::RegisterMetrics(obs::MetricsRegistry* registry) {
@@ -318,44 +292,44 @@ void ClusterDataplane::RegisterMetrics(obs::MetricsRegistry* registry) {
   }
   metrics_collector_ = obs::ScopedCollector(registry, [this]() {
     std::vector<obs::Sample> samples;
-    const ClusterStats s = stats();
-    samples.push_back(obs::MakeCounterSample(
-        "sesemi_cluster_invocations_total", static_cast<double>(s.invocations)));
-    samples.push_back(obs::MakeCounterSample(
-        "sesemi_cluster_home_hits_total", static_cast<double>(s.home_hits)));
-    samples.push_back(obs::MakeCounterSample(
-        "sesemi_cluster_steals_total", static_cast<double>(s.steals)));
-    samples.push_back(obs::MakeCounterSample(
-        "sesemi_cluster_reroutes_total", static_cast<double>(s.reroutes)));
-    samples.push_back(obs::MakeCounterSample(
-        "sesemi_cluster_no_capacity_total", static_cast<double>(s.no_capacity)));
-    samples.push_back(obs::MakeCounterSample(
-        "sesemi_cluster_scale_ups_total", static_cast<double>(s.scale_ups)));
-    samples.push_back(obs::MakeCounterSample(
-        "sesemi_cluster_scale_downs_total", static_cast<double>(s.scale_downs)));
+    auto counter = [&samples](const char* name, const obs::Counter& value,
+                              std::vector<std::pair<std::string, std::string>>
+                                  labels = {}) {
+      samples.push_back(obs::MakeCounterSample(
+          name, static_cast<double>(value.Value()), std::move(labels)));
+    };
+    const ClusterCounters& c = counters_;
+    counter("sesemi_cluster_invocations_total", c.invocations);
+    counter("sesemi_cluster_home_hits_total", c.home_hits);
+    counter("sesemi_cluster_steals_total", c.steals);
+    counter("sesemi_cluster_reroutes_total", c.reroutes);
+    counter("sesemi_cluster_no_capacity_total", c.no_capacity);
+    counter("sesemi_cluster_scale_ups_total", c.scale_ups);
+    counter("sesemi_cluster_scale_downs_total", c.scale_downs);
     samples.push_back(obs::MakeGaugeSample("sesemi_cluster_active_nodes",
                                            active_nodes()));
-    for (const ClusterNodeStats& node : s.nodes) {
+    const TimeMicros now = clock_->Now();
+    for (const auto& node : nodes_) {
       const std::vector<std::pair<std::string, std::string>> labels = {
-          {"node", std::to_string(node.node)}};
-      samples.push_back(obs::MakeCounterSample("sesemi_cluster_node_routed_total",
-                                               static_cast<double>(node.routed),
-                                               labels));
-      samples.push_back(obs::MakeCounterSample(
-          "sesemi_cluster_node_steal_wins_total",
-          static_cast<double>(node.steal_wins), labels));
+          {"node", std::to_string(node->id)}};
+      const serverless::ServerlessPlatform& platform = *node->platform;
+      counter("sesemi_cluster_node_routed_total", node->counters.routed, labels);
+      counter("sesemi_cluster_node_steal_wins_total", node->counters.steal_wins,
+              labels);
       samples.push_back(obs::MakeGaugeSample(
           "sesemi_cluster_node_queue_depth",
-          static_cast<double>(node.queue_depth), labels));
+          static_cast<double>(platform.queue_depth()), labels));
       samples.push_back(obs::MakeGaugeSample("sesemi_cluster_node_containers",
-                                             node.containers, labels));
-      samples.push_back(obs::MakeGaugeSample("sesemi_cluster_node_active",
-                                             node.active ? 1 : 0, labels));
-      samples.push_back(obs::MakeGaugeSample("sesemi_cluster_node_healthy",
-                                             node.healthy ? 1 : 0, labels));
-      if (node.rt_enabled) {
-        samples.push_back(obs::MakeGaugeSample(
-            "sesemi_cluster_node_rt_busy_lanes", node.rt_busy_lanes, labels));
+                                             platform.ContainerCount(), labels));
+      samples.push_back(obs::MakeGaugeSample(
+          "sesemi_cluster_node_active",
+          node->active.load(std::memory_order_acquire) ? 1 : 0, labels));
+      samples.push_back(obs::MakeGaugeSample(
+          "sesemi_cluster_node_healthy", Healthy(*node, now) ? 1 : 0, labels));
+      if (const RtExecutor* rt = platform.rt_executor()) {
+        samples.push_back(
+            obs::MakeGaugeSample("sesemi_cluster_node_rt_busy_lanes",
+                                 rt->stats().busy_lanes, labels));
       }
     }
     return samples;

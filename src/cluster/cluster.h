@@ -11,6 +11,7 @@
 #include "cluster/autoscaler.h"
 #include "cluster/hash_ring.h"
 #include "common/clock.h"
+#include "obs/metrics.h"
 #include "serverless/platform.h"
 
 namespace sesemi::cluster {
@@ -40,31 +41,22 @@ struct ClusterConfig {
   TimeMicros health_cooldown = SecondsToMicros(0.05);
 };
 
-/// Per-node routing counters (platform-internal counters are available via
-/// ClusterDataplane::node()->stats()).
-struct ClusterNodeStats {
-  int node = 0;
-  bool active = false;
-  bool healthy = true;
-  uint64_t routed = 0;       ///< requests dispatched to this node
-  uint64_t steal_wins = 0;   ///< requests stolen *to* this node's warm pool
-  size_t queue_depth = 0;    ///< node scheduler backlog at snapshot time
-  int containers = 0;        ///< live containers at snapshot time
-  bool rt_enabled = false;   ///< node runs the pinned RT inference tier
-  int rt_busy_lanes = 0;     ///< RT lanes executing at snapshot time
-  uint64_t rt_dispatches = 0;  ///< requests served on RT lanes
+/// Cluster-wide routing and scaling counts, incremented in place.
+struct ClusterCounters {
+  obs::Counter invocations;  ///< InvokeAsync calls routed somewhere
+  obs::Counter home_hits;    ///< dispatched to the clockwise home node
+  obs::Counter steals;       ///< warm-slot steals (home had no container)
+  obs::Counter reroutes;     ///< dispatch moved past a failed/unhealthy node
+  obs::Counter no_capacity;  ///< requests resolved Unavailable (no node left)
+  obs::Counter scale_ups;
+  obs::Counter scale_downs;
 };
 
-/// Cluster-wide counters.
-struct ClusterStats {
-  uint64_t invocations = 0;  ///< InvokeAsync calls routed somewhere
-  uint64_t home_hits = 0;    ///< dispatched to the clockwise home node
-  uint64_t steals = 0;       ///< warm-slot steals (home had no container)
-  uint64_t reroutes = 0;     ///< dispatch moved past a failed/unhealthy node
-  uint64_t no_capacity = 0;  ///< requests resolved Unavailable (no node left)
-  uint64_t scale_ups = 0;
-  uint64_t scale_downs = 0;
-  std::vector<ClusterNodeStats> nodes;
+/// One node's routing counts (its platform's own counts are behind
+/// ClusterDataplane::node(i)->counters()).
+struct NodeRoutingCounters {
+  obs::Counter routed;      ///< requests dispatched to this node
+  obs::Counter steal_wins;  ///< requests stolen *to* this node's warm pool
 };
 
 /// Name of the per-node dispatch fault point ("cluster.node.<i>.dispatch").
@@ -112,10 +104,10 @@ class ClusterDataplane {
       const std::string& function, semirt::InferenceRequest request,
       const serverless::InvokeOptions& options = {});
 
-  /// Evaluate the autoscaling policy over the active nodes'
-  /// scheduler_stats()/recovery_stats() and apply the decision: kUp
-  /// activates the lowest-numbered standby node, kDown drains the
-  /// emptiest active node (it leaves the ring but finishes queued work).
+  /// Evaluate the autoscaling policy over the active nodes' queue depths,
+  /// dispatch and enclave-failure deltas, and RT load, and apply the
+  /// decision: kUp activates the lowest-numbered standby node, kDown drains
+  /// the emptiest active node (it leaves the ring but finishes queued work).
   /// Returns the change in active node count (-1, 0, +1).
   int AutoscaleTick();
 
@@ -124,13 +116,16 @@ class ClusterDataplane {
   /// Direct access to node `i`'s platform (tests, benches).
   serverless::ServerlessPlatform* node(int i) { return nodes_.at(i)->platform.get(); }
 
-  ClusterStats stats() const;
+  const ClusterCounters& counters() const { return counters_; }
+  const NodeRoutingCounters& node_counters(int i) const {
+    return nodes_.at(i)->counters;
+  }
   const Autoscaler& autoscaler() const { return autoscaler_; }
 
-  /// Re-home the cluster/autoscaler counters into `registry` as a
-  /// scrape-time collector (`sesemi_cluster_*` names; per-node samples carry
-  /// a node="i" label) and register every node's platform with a matching
-  /// label. Deregistration is automatic at destruction.
+  /// Export the cluster counters into `registry` through one scrape-time
+  /// collector (`sesemi_cluster_*` names; per-node samples carry a node="i"
+  /// label) and register every node's platform with a matching label.
+  /// Deregistration is automatic at destruction.
   void RegisterMetrics(obs::MetricsRegistry* registry);
 
   /// Membership surgery for tests (AutoscaleTick uses the same paths).
@@ -147,8 +142,7 @@ class ClusterDataplane {
     std::unique_ptr<serverless::ServerlessPlatform> platform;
     std::atomic<bool> active{false};
     std::atomic<TimeMicros> unhealthy_until{0};
-    std::atomic<uint64_t> routed{0};
-    std::atomic<uint64_t> steal_wins{0};
+    NodeRoutingCounters counters;
     // Previous-tick counters for the autoscaler's deltas.
     uint64_t last_dispatched = 0;        ///< guarded by autoscale_mutex_
     uint64_t last_enclave_failures = 0;  ///< guarded by autoscale_mutex_
@@ -173,13 +167,7 @@ class ClusterDataplane {
   std::mutex autoscale_mutex_;
   Autoscaler autoscaler_;  ///< guarded by autoscale_mutex_
 
-  std::atomic<uint64_t> invocations_{0};
-  std::atomic<uint64_t> home_hits_{0};
-  std::atomic<uint64_t> steals_{0};
-  std::atomic<uint64_t> reroutes_{0};
-  std::atomic<uint64_t> no_capacity_{0};
-  std::atomic<uint64_t> scale_ups_{0};
-  std::atomic<uint64_t> scale_downs_{0};
+  ClusterCounters counters_;
 
   /// Deregisters the cluster collector before the counters it reads die.
   obs::ScopedCollector metrics_collector_;

@@ -126,7 +126,7 @@ void FnPackerRouter::BreakerOnFailure(EndpointSlot* endpoint, TimeMicros now) {
     if (endpoint->breaker.compare_exchange_weak(word, want,
                                                 std::memory_order_acq_rel,
                                                 std::memory_order_acquire)) {
-      if (opening) breaker_opens_.fetch_add(1, std::memory_order_relaxed);
+      if (opening) counters_.breaker_opens.Inc();
       return;
     }
   }
@@ -223,23 +223,23 @@ Result<int> FnPackerRouter::Route(const std::string& model_id, TimeMicros now) {
       if (chosen < 0) {
         // Every endpoint's breaker is open: shed with a typed error instead
         // of queueing onto a known-bad replica.
-        breaker_rejections_.fetch_add(1, std::memory_order_relaxed);
+        counters_.breaker_rejections.Inc();
         return Status::Unavailable("all endpoints circuit-broken for model " +
                                    model_id);
       }
       AddPending(endpoints_[chosen].get(), kNoModel);
-      overflow_.fetch_add(1, std::memory_order_relaxed);
+      counters_.overflow.Inc();
     }
   }
 
   const int previous = model.endpoint.exchange(chosen, std::memory_order_acq_rel);
   if (previous >= 0 && previous != chosen) {
-    model_switches_.fetch_add(1, std::memory_order_relaxed);
+    counters_.model_switches.Inc();
   }
   model.pending.fetch_add(1, std::memory_order_acq_rel);
   model.last_invocation.store(now, std::memory_order_relaxed);
   endpoints_[chosen]->last_request.store(now, std::memory_order_relaxed);
-  routed_.fetch_add(1, std::memory_order_relaxed);
+  counters_.routed.Inc();
   return chosen;
 }
 
@@ -288,30 +288,19 @@ void FnPackerRouter::CompleteInternal(const std::string& model_id, int endpoint)
   }
 }
 
-RouterStats FnPackerRouter::stats() const {
-  RouterStats stats;
-  stats.routed = routed_.load(std::memory_order_relaxed);
-  stats.model_switches = model_switches_.load(std::memory_order_relaxed);
-  stats.overflow = overflow_.load(std::memory_order_relaxed);
-  stats.breaker_opens = breaker_opens_.load(std::memory_order_relaxed);
-  stats.breaker_rejections = breaker_rejections_.load(std::memory_order_relaxed);
-  return stats;
-}
-
 void FnPackerRouter::RegisterMetrics(obs::MetricsRegistry* registry) {
   metrics_collector_ = obs::ScopedCollector(registry, [this]() {
-    const RouterStats s = stats();
     std::vector<obs::Sample> samples;
-    samples.push_back(
-        obs::MakeCounterSample("sesemi_router_routed_total", s.routed));
-    samples.push_back(obs::MakeCounterSample(
-        "sesemi_router_model_switches_total", s.model_switches));
-    samples.push_back(
-        obs::MakeCounterSample("sesemi_router_overflow_total", s.overflow));
-    samples.push_back(obs::MakeCounterSample("sesemi_router_breaker_opens_total",
-                                             s.breaker_opens));
-    samples.push_back(obs::MakeCounterSample(
-        "sesemi_router_breaker_rejections_total", s.breaker_rejections));
+    auto counter = [&samples](const char* name, const obs::Counter& value) {
+      samples.push_back(
+          obs::MakeCounterSample(name, static_cast<double>(value.Value())));
+    };
+    const RouterCounters& c = counters_;
+    counter("sesemi_router_routed_total", c.routed);
+    counter("sesemi_router_model_switches_total", c.model_switches);
+    counter("sesemi_router_overflow_total", c.overflow);
+    counter("sesemi_router_breaker_opens_total", c.breaker_opens);
+    counter("sesemi_router_breaker_rejections_total", c.breaker_rejections);
     return samples;
   });
 }

@@ -32,13 +32,13 @@ struct EndpointState {
   bool breaker_open = false;    ///< endpoint currently rejects traffic
 };
 
-/// Routing statistics for evaluation.
-struct RouterStats {
-  int routed = 0;
-  int model_switches = 0;  ///< endpoint had to change serving model
-  int overflow = 0;        ///< no preferred endpoint free; least-loaded fallback
-  int breaker_opens = 0;       ///< closed/half-open -> open transitions
-  int breaker_rejections = 0;  ///< routes refused because every endpoint open
+/// FnPacker's routing counts, incremented in place.
+struct RouterCounters {
+  obs::Counter routed;
+  obs::Counter model_switches;  ///< endpoint had to change serving model
+  obs::Counter overflow;  ///< no preferred endpoint free; least-loaded fallback
+  obs::Counter breaker_opens;       ///< closed/half-open -> open transitions
+  obs::Counter breaker_rejections;  ///< routes refused: every endpoint open
 };
 
 /// Abstract request router: decides which function endpoint serves a request.
@@ -66,10 +66,6 @@ class RequestRouter {
                          TimeMicros now) {
     OnComplete(model_id, endpoint, now);
   }
-
-  /// Total closed/half-open -> open breaker transitions (0 for routers
-  /// without breakers). Feeds PlatformStats::breaker_opens.
-  virtual uint64_t breaker_opens() const { return 0; }
 
   virtual int num_endpoints() const = 0;
   virtual const char* name() const = 0;
@@ -121,8 +117,8 @@ struct FnPoolSpec {
 /// sticky requester's model-state read and its endpoint CAS, the two
 /// briefly share that endpoint — the same bounded sharing the overflow
 /// fallback already permits under load, self-correcting on the next route.
-/// Per-model counters and stats are plain atomics; inspection reads them
-/// without stalling the request path.
+/// Per-model state and the routing counters are plain atomics; inspection
+/// reads them without stalling the request path.
 ///
 /// \threadsafety All methods are safe to call concurrently.
 class FnPackerRouter final : public RequestRouter {
@@ -132,19 +128,17 @@ class FnPackerRouter final : public RequestRouter {
   Result<int> Route(const std::string& model_id, TimeMicros now) override;
   void OnComplete(const std::string& model_id, int endpoint, TimeMicros now) override;
   void OnFailure(const std::string& model_id, int endpoint, TimeMicros now) override;
-  uint64_t breaker_opens() const override {
-    return static_cast<uint64_t>(breaker_opens_.load(std::memory_order_relaxed));
-  }
   int num_endpoints() const override { return static_cast<int>(endpoints_.size()); }
   const char* name() const override { return "fnpacker"; }
 
-  RouterStats stats() const;
+  const RouterCounters& counters() const { return counters_; }
   /// Inspection helpers for tests (consistent per-field snapshots).
   ModelState model_state(const std::string& model_id) const;
   EndpointState endpoint_state(int endpoint) const;
 
-  /// Re-home RouterStats into `registry` (`sesemi_router_*` names) as a
-  /// scrape-time collector; deregistration is automatic at destruction.
+  /// Export the routing counters into `registry` (`sesemi_router_*` names)
+  /// through a scrape-time collector; deregistration is automatic at
+  /// destruction.
   void RegisterMetrics(obs::MetricsRegistry* registry);
 
  private:
@@ -230,13 +224,9 @@ class FnPackerRouter final : public RequestRouter {
 
   std::vector<std::unique_ptr<EndpointSlot>> endpoints_;
 
-  std::atomic<int> routed_{0};
-  std::atomic<int> model_switches_{0};
-  std::atomic<int> overflow_{0};
-  std::atomic<int> breaker_opens_{0};
-  std::atomic<int> breaker_rejections_{0};
+  RouterCounters counters_;
 
-  /// Deregisters the stats collector before the counters it reads die.
+  /// Deregisters the collector before the counters it reads die.
   obs::ScopedCollector metrics_collector_;
 };
 

@@ -43,9 +43,6 @@ std::string FormatValue(double value) {
 
 }  // namespace
 
-uint64_t Gauge::Encode(double value) { return DoubleBits(value); }
-double Gauge::Decode(uint64_t bits) { return BitsDouble(bits); }
-
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
@@ -82,60 +79,14 @@ double Histogram::Sum() const {
   return BitsDouble(sum_bits_.load(std::memory_order_relaxed));
 }
 
-MetricsRegistry* MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return registry;
-}
-
-MetricsRegistry::Instrument* MetricsRegistry::FindOrNull(
-    const std::string& name,
-    const std::vector<std::pair<std::string, std::string>>& labels) {
-  for (const auto& instrument : instruments_) {
-    if (instrument->name == name && instrument->labels == labels) {
-      return instrument.get();
-    }
-  }
-  return nullptr;
-}
-
-Counter* MetricsRegistry::GetCounter(
-    const std::string& name,
-    std::vector<std::pair<std::string, std::string>> labels) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (Instrument* found = FindOrNull(name, labels)) {
-    if (found->counter != nullptr) return found->counter.get();
-  }
-  auto instrument = std::make_unique<Instrument>();
-  instrument->name = name;
-  instrument->labels = std::move(labels);
-  instrument->counter = std::make_unique<Counter>();
-  Counter* counter = instrument->counter.get();
-  instruments_.push_back(std::move(instrument));
-  return counter;
-}
-
-Gauge* MetricsRegistry::GetGauge(
-    const std::string& name,
-    std::vector<std::pair<std::string, std::string>> labels) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (Instrument* found = FindOrNull(name, labels)) {
-    if (found->gauge != nullptr) return found->gauge.get();
-  }
-  auto instrument = std::make_unique<Instrument>();
-  instrument->name = name;
-  instrument->labels = std::move(labels);
-  instrument->gauge = std::make_unique<Gauge>();
-  Gauge* gauge = instrument->gauge.get();
-  instruments_.push_back(std::move(instrument));
-  return gauge;
-}
-
 Histogram* MetricsRegistry::GetHistogram(
     const std::string& name, std::vector<double> bounds,
     std::vector<std::pair<std::string, std::string>> labels) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (Instrument* found = FindOrNull(name, labels)) {
-    if (found->histogram != nullptr) return found->histogram.get();
+  for (const auto& instrument : instruments_) {
+    if (instrument->name == name && instrument->labels == labels) {
+      return instrument->histogram.get();
+    }
   }
   auto instrument = std::make_unique<Instrument>();
   instrument->name = name;
@@ -170,46 +121,30 @@ std::vector<Sample> MetricsRegistry::Snapshot() const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& instrument : instruments_) {
-      if (instrument->counter != nullptr) {
-        Sample sample;
-        sample.name = instrument->name;
-        sample.labels = instrument->labels;
-        sample.value = static_cast<double>(instrument->counter->Value());
-        sample.kind = SampleKind::kCounter;
-        samples.push_back(std::move(sample));
-      } else if (instrument->gauge != nullptr) {
-        Sample sample;
-        sample.name = instrument->name;
-        sample.labels = instrument->labels;
-        sample.value = instrument->gauge->Value();
-        sample.kind = SampleKind::kGauge;
-        samples.push_back(std::move(sample));
-      } else if (instrument->histogram != nullptr) {
-        const Histogram& histogram = *instrument->histogram;
-        for (size_t i = 0; i <= histogram.bounds().size(); ++i) {
-          Sample bucket;
-          bucket.name = instrument->name + "_bucket";
-          bucket.labels = instrument->labels;
-          const bool inf = i == histogram.bounds().size();
-          bucket.labels.emplace_back(
-              "le", inf ? "+Inf" : FormatValue(histogram.bounds()[i]));
-          bucket.value = static_cast<double>(histogram.CumulativeCount(i));
-          bucket.kind = SampleKind::kHistogramBucket;
-          samples.push_back(std::move(bucket));
-        }
-        Sample sum;
-        sum.name = instrument->name + "_sum";
-        sum.labels = instrument->labels;
-        sum.value = histogram.Sum();
-        sum.kind = SampleKind::kHistogramSum;
-        samples.push_back(std::move(sum));
-        Sample count;
-        count.name = instrument->name + "_count";
-        count.labels = instrument->labels;
-        count.value = static_cast<double>(histogram.Count());
-        count.kind = SampleKind::kHistogramCount;
-        samples.push_back(std::move(count));
+      const Histogram& histogram = *instrument->histogram;
+      for (size_t i = 0; i <= histogram.bounds().size(); ++i) {
+        Sample bucket;
+        bucket.name = instrument->name + "_bucket";
+        bucket.labels = instrument->labels;
+        const bool inf = i == histogram.bounds().size();
+        bucket.labels.emplace_back(
+            "le", inf ? "+Inf" : FormatValue(histogram.bounds()[i]));
+        bucket.value = static_cast<double>(histogram.CumulativeCount(i));
+        bucket.kind = SampleKind::kHistogramBucket;
+        samples.push_back(std::move(bucket));
       }
+      Sample sum;
+      sum.name = instrument->name + "_sum";
+      sum.labels = instrument->labels;
+      sum.value = histogram.Sum();
+      sum.kind = SampleKind::kHistogramSum;
+      samples.push_back(std::move(sum));
+      Sample count;
+      count.name = instrument->name + "_count";
+      count.labels = instrument->labels;
+      count.value = static_cast<double>(histogram.Count());
+      count.kind = SampleKind::kHistogramCount;
+      samples.push_back(std::move(count));
     }
     collectors.reserve(collectors_.size());
     for (const auto& [id, collector] : collectors_) collectors.push_back(collector);

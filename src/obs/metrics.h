@@ -16,12 +16,12 @@ namespace sesemi::obs {
 /// Unified metrics registry (docs/ARCHITECTURE.md "Observability").
 ///
 /// One named, label-aware snapshot surface over every counter the system
-/// keeps. Components either own direct instruments (Counter / Gauge /
-/// Histogram — lock-free atomics on the update path) or register a
-/// *collector*: a callback that snapshots an existing stats struct
-/// (SchedStats, PlatformStats, RecoveryStats, ClusterStats, RouterStats)
-/// into Samples at scrape time. Collectors mean the hot paths keep their
-/// existing plain atomics; the registry only pays at Snapshot().
+/// keeps. Each component owns its counts as Counter members of one plain
+/// struct, increments them in place (one relaxed fetch_add), and registers a
+/// *collector*: a callback that reads those counters, plus a few read-time
+/// gauges, into Samples at scrape time. The registry itself owns only the
+/// histograms (GetHistogram; Observe is wait-free); its lock and the
+/// collectors run only at registration and Snapshot().
 ///
 /// Exposition is Prometheus text format (PrometheusText), so `curl`-style
 /// scraping works the day an HTTP listener exists; until then benches and
@@ -46,24 +46,6 @@ class Counter {
 
  private:
   std::atomic<uint64_t> value_{0};
-};
-
-/// Last-write-wins gauge (doubles stored as bit patterns).
-class Gauge {
- public:
-  void Set(double value) { bits_.store(Encode(value), std::memory_order_relaxed); }
-  void Add(double delta) {
-    uint64_t observed = bits_.load(std::memory_order_relaxed);
-    while (!bits_.compare_exchange_weak(observed, Encode(Decode(observed) + delta),
-                                        std::memory_order_relaxed)) {
-    }
-  }
-  double Value() const { return Decode(bits_.load(std::memory_order_relaxed)); }
-
- private:
-  static uint64_t Encode(double value);
-  static double Decode(uint64_t bits);
-  std::atomic<uint64_t> bits_{0};
 };
 
 /// Fixed-bucket histogram: bounds are set once at construction, counts are
@@ -103,16 +85,8 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Process-wide default registry (what platform/cluster constructors use
-  /// unless handed an explicit one).
-  static MetricsRegistry* Global();
-
-  /// Direct instruments, created on first use and keyed by (name, labels).
-  /// Returned pointers live as long as the registry.
-  Counter* GetCounter(const std::string& name,
-                      std::vector<std::pair<std::string, std::string>> labels = {});
-  Gauge* GetGauge(const std::string& name,
-                  std::vector<std::pair<std::string, std::string>> labels = {});
+  /// Histogram created on first use and keyed by (name, labels); the
+  /// returned pointer lives as long as the registry.
   Histogram* GetHistogram(const std::string& name, std::vector<double> bounds,
                           std::vector<std::pair<std::string, std::string>> labels = {});
 
@@ -121,7 +95,7 @@ class MetricsRegistry {
   uint64_t AddCollector(Collector collector);
   void RemoveCollector(uint64_t id);
 
-  /// All current samples: direct instruments first, then collector output.
+  /// All current samples: histograms first, then collector output.
   std::vector<Sample> Snapshot() const;
 
   /// Prometheus text exposition of Snapshot().
@@ -131,12 +105,8 @@ class MetricsRegistry {
   struct Instrument {
     std::string name;
     std::vector<std::pair<std::string, std::string>> labels;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
-  Instrument* FindOrNull(const std::string& name,
-                         const std::vector<std::pair<std::string, std::string>>& labels);
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Instrument>> instruments_;

@@ -56,12 +56,11 @@ Status AdmissionController::Admit(const std::string& function,
                                   uint64_t payload_bytes, TimeMicros now) {
   FunctionGate* gate = FindGate(function);
   if (gate == nullptr) {
-    rejected_unknown_.fetch_add(1, std::memory_order_relaxed);
     return Status::NotFound("function not scheduled: " + function);
   }
 
   if (gate->bucket != nullptr && !gate->bucket->TryAcquire(now)) {
-    rejected_rate_.fetch_add(1, std::memory_order_relaxed);
+    counters_.rejected_rate.Inc();
     return Status::ResourceExhausted("rate limit exceeded for " + function);
   }
 
@@ -71,7 +70,7 @@ Status AdmissionController::Admit(const std::string& function,
     const int depth = gate->queued.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (depth > gate->params.max_queue_depth) {
       gate->queued.fetch_sub(1, std::memory_order_acq_rel);
-      rejected_depth_.fetch_add(1, std::memory_order_relaxed);
+      counters_.rejected_depth.Inc();
       return Status::Unavailable("queue full for " + function);
     }
   } else {
@@ -87,11 +86,11 @@ Status AdmissionController::Admit(const std::string& function,
     queued_.fetch_sub(1, std::memory_order_acq_rel);
     queued_bytes_.fetch_sub(payload_bytes, std::memory_order_acq_rel);
     gate->queued.fetch_sub(1, std::memory_order_acq_rel);
-    rejected_global_.fetch_add(1, std::memory_order_relaxed);
+    counters_.rejected_global.Inc();
     return Status::ResourceExhausted("scheduler backlog full");
   }
 
-  admitted_.fetch_add(1, std::memory_order_relaxed);
+  counters_.admitted.Inc();
   return Status::OK();
 }
 
@@ -101,16 +100,6 @@ void AdmissionController::OnDequeue(const std::string& function,
   if (gate != nullptr) gate->queued.fetch_sub(1, std::memory_order_acq_rel);
   queued_.fetch_sub(1, std::memory_order_acq_rel);
   queued_bytes_.fetch_sub(payload_bytes, std::memory_order_acq_rel);
-}
-
-AdmissionStats AdmissionController::stats() const {
-  AdmissionStats s;
-  s.admitted = admitted_.load(std::memory_order_relaxed);
-  s.rejected_rate = rejected_rate_.load(std::memory_order_relaxed);
-  s.rejected_depth = rejected_depth_.load(std::memory_order_relaxed);
-  s.rejected_global = rejected_global_.load(std::memory_order_relaxed);
-  s.rejected_unknown = rejected_unknown_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace sesemi::sched

@@ -12,6 +12,7 @@
 
 #include "common/clock.h"
 #include "common/result.h"
+#include "obs/metrics.h"
 #include "sched/queue.h"
 
 namespace sesemi::sched {
@@ -61,13 +62,12 @@ class TokenBucket {
   void RefillLocked(TimeMicros now);
 };
 
-/// Cumulative admission counters (drops by reason).
-struct AdmissionStats {
-  uint64_t admitted = 0;
-  uint64_t rejected_rate = 0;    ///< token bucket empty
-  uint64_t rejected_depth = 0;   ///< per-function backlog cap
-  uint64_t rejected_global = 0;  ///< global queued / byte budget
-  uint64_t rejected_unknown = 0; ///< function not registered
+/// Cumulative admission counts (drops by reason), incremented in place.
+struct AdmissionCounters {
+  obs::Counter admitted;
+  obs::Counter rejected_rate;    ///< token bucket empty
+  obs::Counter rejected_depth;   ///< per-function backlog cap
+  obs::Counter rejected_global;  ///< global queued / byte budget
 };
 
 /// Per-function token buckets plus global backlog accounting. Enqueue-side
@@ -92,7 +92,7 @@ class AdmissionController {
   /// Release the backlog accounting claimed by Admit.
   void OnDequeue(const std::string& function, uint64_t payload_bytes);
 
-  AdmissionStats stats() const;
+  const AdmissionCounters& counters() const { return counters_; }
   int queued() const { return queued_.load(std::memory_order_relaxed); }
   uint64_t queued_bytes() const { return queued_bytes_.load(std::memory_order_relaxed); }
 
@@ -116,11 +116,7 @@ class AdmissionController {
   std::atomic<int> queued_{0};
   std::atomic<uint64_t> queued_bytes_{0};
 
-  std::atomic<uint64_t> admitted_{0};
-  std::atomic<uint64_t> rejected_rate_{0};
-  std::atomic<uint64_t> rejected_depth_{0};
-  std::atomic<uint64_t> rejected_global_{0};
-  std::atomic<uint64_t> rejected_unknown_{0};
+  AdmissionCounters counters_;
 };
 
 }  // namespace sesemi::sched

@@ -51,22 +51,4 @@ size_t SameModelBatcher::Coalesce(FairQueue* queue, QueuedRequest head,
   return taken;
 }
 
-void SameModelBatcher::RecordDispatch(size_t size) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batched_requests_.fetch_add(size, std::memory_order_relaxed);
-  uint64_t prev = max_batch_size_.load(std::memory_order_relaxed);
-  while (size > prev &&
-         !max_batch_size_.compare_exchange_weak(prev, size,
-                                                std::memory_order_relaxed)) {
-  }
-}
-
-BatchStats SameModelBatcher::stats() const {
-  BatchStats s;
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batched_requests = batched_requests_.load(std::memory_order_relaxed);
-  s.max_batch_size = max_batch_size_.load(std::memory_order_relaxed);
-  return s;
-}
-
 }  // namespace sesemi::sched

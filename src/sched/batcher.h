@@ -1,26 +1,13 @@
 #ifndef SESEMI_SCHED_BATCHER_H_
 #define SESEMI_SCHED_BATCHER_H_
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <vector>
 
 #include "sched/queue.h"
 
 namespace sesemi::sched {
-
-/// Cumulative coalescing counters.
-struct BatchStats {
-  uint64_t batches = 0;           ///< dispatches (each 1..max_batch requests)
-  uint64_t batched_requests = 0;  ///< requests dispatched inside those batches
-  uint64_t max_batch_size = 0;
-  double AvgBatchSize() const {
-    return batches == 0 ? 0.0
-                        : static_cast<double>(batched_requests) /
-                              static_cast<double>(batches);
-  }
-};
 
 /// Same-model request coalescer. After the policy pops a head request, the
 /// batcher pulls further queued requests for the *same function* that are
@@ -39,7 +26,8 @@ struct BatchStats {
 /// overtaken by a bounded amount of same-model traffic, keeping near-FIFO
 /// order for the rest.
 ///
-/// \threadsafety Stateless apart from atomic counters; safe concurrently.
+/// \threadsafety Stateless (the scheduler counts the batches it pops); safe
+/// concurrently.
 class SameModelBatcher {
  public:
   static constexpr int kLookaheadFactor = 4;
@@ -53,18 +41,8 @@ class SameModelBatcher {
   size_t Coalesce(FairQueue* queue, QueuedRequest head, int max_batch,
                   std::vector<QueuedRequest>* batch);
 
-  /// Record a dispatched batch of `size` requests (the platform calls this
-  /// for every dispatch, size 1 included, so AvgBatchSize is the true mean).
-  void RecordDispatch(size_t size);
-
-  BatchStats stats() const;
-
  private:
   static bool Compatible(const QueuedRequest& head, const QueuedRequest& other);
-
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batched_requests_{0};
-  std::atomic<uint64_t> max_batch_size_{0};
 };
 
 }  // namespace sesemi::sched

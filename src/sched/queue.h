@@ -168,7 +168,8 @@ class DeadlineEdfPolicy final : public SchedulerPolicy {
 
 std::unique_ptr<SchedulerPolicy> MakePolicy(PolicyKind kind);
 
-/// Point-in-time queue statistics (per function, inside SchedStats).
+/// Point-in-time queue statistics, per function (read through
+/// RequestScheduler::PerFunctionStats).
 struct FunctionQueueStats {
   std::string function;
   double weight = 1.0;

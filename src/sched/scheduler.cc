@@ -31,7 +31,7 @@ const FunctionSchedParams* RequestScheduler::function_params(
 }
 
 Status RequestScheduler::Submit(QueuedRequest request, uint64_t payload_bytes) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  counters_.submitted.Inc();
   const std::string function = request.function;
   const TimeMicros now = clock_->Now();
   SESEMI_RETURN_IF_ERROR(admission_.Admit(function, payload_bytes, now));
@@ -63,7 +63,7 @@ std::vector<QueuedRequest> RequestScheduler::PopBatch(
       // Expired while queued: shed it (typed reject at the caller), never
       // execute it, and keep popping — EDF pops earliest-deadline first, so
       // live work is still behind this head.
-      drops_.fetch_add(1, std::memory_order_relaxed);
+      counters_.drops.Inc();
       if (expired != nullptr) expired->push_back(std::move(head));
       continue;
     }
@@ -75,8 +75,6 @@ std::vector<QueuedRequest> RequestScheduler::PopBatch(
     max_batch = params->max_batch;
   }
 
-  RecordWait(head.priority, now - head.enqueue_time);
-
   batch.reserve(static_cast<size_t>(std::max(max_batch, 1)));
   batch.push_back(std::move(head));
   if (max_batch > 1) {
@@ -85,77 +83,23 @@ std::vector<QueuedRequest> RequestScheduler::PopBatch(
     for (size_t i = 1; i < batch.size(); ++i) {
       admission_.OnDequeue(batch[i].function, batch[i].payload_bytes);
       if (shed && batch[i].deadline != kNoDeadline && batch[i].deadline < now) {
-        drops_.fetch_add(1, std::memory_order_relaxed);
+        counters_.drops.Inc();
         if (expired != nullptr) expired->push_back(std::move(batch[i]));
         continue;
       }
-      RecordWait(batch[i].priority, now - batch[i].enqueue_time);
       if (live != i) batch[live] = std::move(batch[i]);
       live++;
     }
     batch.resize(live);
   }
-  batcher_.RecordDispatch(batch.size());
-  dispatched_.fetch_add(batch.size(), std::memory_order_relaxed);
+  counters_.batches.Inc();
+  counters_.dispatched.Inc(batch.size());
+  uint64_t max = counters_.max_batch_size.load(std::memory_order_relaxed);
+  while (batch.size() > max &&
+         !counters_.max_batch_size.compare_exchange_weak(
+             max, batch.size(), std::memory_order_relaxed)) {
+  }
   return batch;
-}
-
-void RequestScheduler::RecordWait(int priority, TimeMicros wait) {
-  if (wait < 0) wait = 0;
-  priority = std::clamp(priority, 0, kNumPriorityClasses - 1);
-  WaitWindow& w = waits_[priority];
-  std::lock_guard<std::mutex> lock(w.mutex);
-  if (w.samples.size() < WaitWindow::kCapacity) {
-    w.samples.push_back(wait);
-  } else {
-    w.samples[w.next] = wait;
-    w.next = (w.next + 1) % WaitWindow::kCapacity;
-  }
-  w.count++;
-}
-
-namespace {
-TimeMicros Percentile(std::vector<TimeMicros>& sorted, double pct) {
-  if (sorted.empty()) return 0;
-  const double rank = pct / 100.0 * static_cast<double>(sorted.size() - 1);
-  return sorted[static_cast<size_t>(rank + 0.5)];
-}
-}  // namespace
-
-SchedStats RequestScheduler::stats() const {
-  SchedStats s;
-  s.policy = queue_.policy().name();
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.dispatched = dispatched_.load(std::memory_order_relaxed);
-
-  const AdmissionStats a = admission_.stats();
-  s.admitted = a.admitted;
-  s.rejected_rate = a.rejected_rate;
-  s.rejected_depth = a.rejected_depth;
-  s.rejected_global = a.rejected_global;
-  s.drops = drops_.load(std::memory_order_relaxed);
-  s.queue_depth = queue_.TotalDepth();
-
-  const BatchStats b = batcher_.stats();
-  s.batches = b.batches;
-  s.avg_batch_size = b.AvgBatchSize();
-  s.max_batch_size = b.max_batch_size;
-
-  for (int cls = 0; cls < kNumPriorityClasses; ++cls) {
-    const WaitWindow& w = waits_[cls];
-    std::vector<TimeMicros> samples;
-    {
-      std::lock_guard<std::mutex> lock(w.mutex);
-      samples = w.samples;
-      s.wait[cls].count = w.count;
-    }
-    std::sort(samples.begin(), samples.end());
-    s.wait[cls].p50 = Percentile(samples, 50.0);
-    s.wait[cls].p99 = Percentile(samples, 99.0);
-  }
-
-  s.functions = queue_.PerFunctionStats();
-  return s;
 }
 
 }  // namespace sesemi::sched

@@ -1,7 +1,6 @@
 #ifndef SESEMI_SCHED_SCHEDULER_H_
 #define SESEMI_SCHED_SCHEDULER_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -13,6 +12,7 @@
 
 #include "common/clock.h"
 #include "common/result.h"
+#include "obs/metrics.h"
 #include "sched/admission.h"
 #include "sched/batcher.h"
 #include "sched/queue.h"
@@ -25,34 +25,27 @@ struct SchedulerConfig {
   AdmissionLimits limits;
 };
 
-/// Point-in-time scheduler statistics: admission, queueing, batching, and
-/// per-priority-class queue-wait percentiles. Consumed by bench_sched /
-/// bench_fig11 as JSON and by tests as invariants.
-struct SchedStats {
-  const char* policy = "fifo";
-  uint64_t submitted = 0;   ///< Submit calls
-  uint64_t admitted = 0;
-  uint64_t dispatched = 0;  ///< requests handed to workers (incl. batched)
-  uint64_t rejected_rate = 0;
-  uint64_t rejected_depth = 0;
-  uint64_t rejected_global = 0;
+/// Cumulative scheduler counts, incremented in place on the submit and pop
+/// paths (admission's drops by reason live in AdmissionCounters). Queue wait
+/// is not counted here: the platform stamps it on each InvocationResult.
+struct SchedulerCounters {
+  obs::Counter submitted;   ///< Submit calls
+  obs::Counter dispatched;  ///< requests handed to workers (incl. batched)
   /// Requests shed at dispatch because their deadline had already passed
   /// (DeadlineEdf only). Shed work is never executed; the caller resolves its
   /// future with DeadlineExceeded.
-  uint64_t drops = 0;
-  size_t queue_depth = 0;   ///< currently queued
-  uint64_t batches = 0;
-  double avg_batch_size = 0.0;
-  uint64_t max_batch_size = 0;
+  obs::Counter drops;
+  obs::Counter batches;  ///< dispatch units popped (each 1..max_batch requests)
+  /// Largest unit popped so far: a high-water mark, not a count.
+  std::atomic<uint64_t> max_batch_size{0};
 
-  struct ClassWait {
-    uint64_t count = 0;    ///< dispatches sampled in this class
-    TimeMicros p50 = 0;    ///< queue-wait percentiles over a sliding window
-    TimeMicros p99 = 0;
-  };
-  std::array<ClassWait, kNumPriorityClasses> wait{};
-
-  std::vector<FunctionQueueStats> functions;
+  /// Mean requests per dispatch unit (0 before the first pop).
+  double avg_batch_size() const {
+    const uint64_t units = batches.Value();
+    return units == 0 ? 0.0
+                      : static_cast<double>(dispatched.Value()) /
+                            static_cast<double>(units);
+  }
 };
 
 /// The request scheduler: admission gate -> weighted-fair queues -> policy
@@ -78,13 +71,12 @@ class RequestScheduler {
 
   /// Pop the next dispatch unit in policy order: one request, extended with
   /// same-model/same-session companions up to the function's max_batch.
-  /// Returns an empty vector when nothing is queued. Queue-wait samples are
-  /// recorded here (dequeue time - enqueue time, per priority class).
+  /// Returns an empty vector when nothing is queued.
   ///
   /// Under DeadlineEdf, requests whose deadline already passed at dispatch
   /// time are shed instead of returned: deadlines gate execution, not just
   /// ordering. Shed requests are appended to `expired` (counted in
-  /// SchedStats.drops) so the caller can resolve their futures with a typed
+  /// counters().drops) so the caller can resolve their futures with a typed
   /// DeadlineExceeded; passing nullptr discards them.
   std::vector<QueuedRequest> PopBatch(std::vector<QueuedRequest>* expired = nullptr) {
     return PopBatch(kAllClasses, expired);
@@ -104,21 +96,16 @@ class RequestScheduler {
   }
   PolicyKind policy_kind() const { return queue_.policy_kind(); }
   const FunctionSchedParams* function_params(const std::string& function) const;
+  std::vector<FunctionQueueStats> PerFunctionStats() const {
+    return queue_.PerFunctionStats();
+  }
 
-  SchedStats stats() const;
+  const SchedulerCounters& counters() const { return counters_; }
+  const AdmissionCounters& admission_counters() const {
+    return admission_.counters();
+  }
 
  private:
-  /// Sliding-window reservoir of queue-wait samples for one priority class.
-  struct WaitWindow {
-    static constexpr size_t kCapacity = 4096;
-    mutable std::mutex mutex;
-    std::vector<TimeMicros> samples;  ///< ring, guarded by mutex
-    size_t next = 0;
-    uint64_t count = 0;
-  };
-
-  void RecordWait(int priority, TimeMicros wait);
-
   FairQueue queue_;
   AdmissionController admission_;
   SameModelBatcher batcher_;
@@ -131,10 +118,7 @@ class RequestScheduler {
   mutable std::shared_mutex params_mutex_;
   std::unordered_map<std::string, std::unique_ptr<FunctionSchedParams>> params_;
 
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> dispatched_{0};
-  std::atomic<uint64_t> drops_{0};  ///< deadline-expired sheds (never executed)
-  std::array<WaitWindow, kNumPriorityClasses> waits_;
+  SchedulerCounters counters_;
 };
 
 }  // namespace sesemi::sched

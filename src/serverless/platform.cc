@@ -111,7 +111,7 @@ void ServerlessPlatform::DrainForShutdown() {
     }
     for (sched::QueuedRequest& qr : batch) {
       Resolve(qr, now, {.response = Status::Unavailable("shutting down")});
-      shutdown_drops_.fetch_add(1, std::memory_order_relaxed);
+      counters_.shutdown_drops.Inc();
     }
   }
 }
@@ -249,7 +249,7 @@ Result<ServerlessPlatform::Container*> ServerlessPlatform::ColdStart(
   {
     Status admit = relaunch_gate_.Admit(clock_->Now());
     if (!admit.ok()) {
-      relaunch_backoffs_.fetch_add(1, std::memory_order_relaxed);
+      counters_.relaunch_backoffs.Inc();
       return admit;
     }
   }
@@ -276,7 +276,7 @@ Result<ServerlessPlatform::Container*> ServerlessPlatform::ColdStart(
          !pending_relaunches_.compare_exchange_weak(pending, pending - 1,
                                                     std::memory_order_acq_rel)) {
   }
-  if (pending > 0) relaunches_.fetch_add(1, std::memory_order_relaxed);
+  if (pending > 0) counters_.relaunches.Inc();
 
   auto container = std::make_unique<Container>();
   container->function = spec.name;
@@ -311,7 +311,7 @@ Result<ServerlessPlatform::Container*> ServerlessPlatform::ColdStart(
   SlotAt(*shard, *slot_index)->container.store(raw, std::memory_order_relaxed);
   for (size_t i = 1; i < slots.size(); ++i) PushWarmSlot(shard, slots[i], raw);
 
-  cold_starts_.fetch_add(1, std::memory_order_relaxed);
+  counters_.cold_starts.Inc();
   return raw;
 }
 
@@ -400,7 +400,7 @@ void ServerlessPlatform::PoisonContainer(Container* container) {
                                                    std::memory_order_acq_rel)) {
     return;  // already poisoned by a concurrent failure
   }
-  enclave_failures_.fetch_add(1, std::memory_order_relaxed);
+  counters_.enclave_failures.Inc();
   pending_relaunches_.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -409,7 +409,7 @@ void ServerlessPlatform::QuarantineSlotLocked(FunctionShard* shard,
                                               uint32_t slot_index) {
   shard->spare_slots.push_back(slot_index);
   container->quarantined.fetch_add(1, std::memory_order_acq_rel);
-  quarantined_slots_.fetch_add(1, std::memory_order_relaxed);
+  counters_.quarantined_slots.Inc();
 }
 
 void ServerlessPlatform::QuarantineSlot(FunctionShard* shard,
@@ -456,7 +456,7 @@ std::future<InvocationResult> ServerlessPlatform::InvokeAsync(
     const std::string& function, semirt::InferenceRequest request,
     const InvokeOptions& options) {
   if (shutting_down_.load(std::memory_order_acquire)) {
-    shutdown_drops_.fetch_add(1, std::memory_order_relaxed);
+    counters_.shutdown_drops.Inc();
     std::promise<InvocationResult> rejected;
     InvocationResult out;
     out.response = Status::Unavailable("shutting down");
@@ -529,7 +529,7 @@ void ServerlessPlatform::KickRtLane() {
   // Ring full — the interactive classes are severely oversubscribed. Degrade
   // to a shared-pool task running the same pump, so the request is late
   // rather than stranded.
-  rt_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  counters_.rt_fallbacks.Inc();
   async_tasks_.Submit([this] { RtPump(); });
 }
 
@@ -731,7 +731,7 @@ void ServerlessPlatform::Execute(std::vector<sched::QueuedRequest> unit,
       PoisonContainer(container);
     }
     ReleaseContainer(shard, container, slot_index);
-    invocations_.fetch_add(static_cast<int>(n), std::memory_order_relaxed);
+    counters_.invocations.Inc(n);
     return Status::OK();
   };
 
@@ -752,12 +752,12 @@ void ServerlessPlatform::Execute(std::vector<sched::QueuedRequest> unit,
         (deadline_ptr != nullptr && deadline_ptr->Expired())) {
       break;
     }
-    retries_.fetch_add(1, std::memory_order_relaxed);
+    counters_.retries.Inc();
     const TimeMicros delay = retry_backoff_.Next(i);
     if (delay > 0) std::this_thread::sleep_for(std::chrono::microseconds(delay));
   }
 
-  if (rt_lane >= 0) rt_dispatches_.fetch_add(n, std::memory_order_relaxed);
+  if (rt_lane >= 0) counters_.rt_dispatches.Inc(n);
   const uint64_t exec_thread =
       std::hash<std::thread::id>{}(std::this_thread::get_id());
   for (size_t i = 0; i < n; ++i) {
@@ -766,7 +766,7 @@ void ServerlessPlatform::Execute(std::vector<sched::QueuedRequest> unit,
     if (!out.response.ok()) {
       const StatusCode code = out.response.status().code();
       if (code == StatusCode::kDeadlineExceeded) {
-        deadline_cuts_.fetch_add(1, std::memory_order_relaxed);
+        counters_.deadline_cuts.Inc();
       } else if (config_.recovery.enabled && IsEnclavePoisoning(code)) {
         // The inference ecall itself faulted: never retried (it may have
         // consumed or mutated state), but surfaced as typed Unavailable — the
@@ -888,7 +888,7 @@ int ServerlessPlatform::ReapIdleContainers() {
   for (auto& [name, shard] : functions_) {
     reaped += ReapShard(shard.get(), now);
   }
-  reaped_containers_.fetch_add(reaped, std::memory_order_relaxed);
+  counters_.reaped_containers.Inc(static_cast<uint64_t>(reaped));
   return reaped;
 }
 
@@ -901,48 +901,6 @@ int ServerlessPlatform::ContainerCount(const std::string& function) const {
     count += static_cast<int>(shard->containers.size());
   }
   return count;
-}
-
-PlatformStats ServerlessPlatform::stats() const {
-  PlatformStats stats;
-  stats.invocations = invocations_.load(std::memory_order_relaxed);
-  stats.cold_starts = cold_starts_.load(std::memory_order_relaxed);
-  stats.reaped_containers = reaped_containers_.load(std::memory_order_relaxed);
-  stats.enclave_failures = enclave_failures_.load(std::memory_order_relaxed);
-  stats.relaunches = relaunches_.load(std::memory_order_relaxed);
-  stats.retries = retries_.load(std::memory_order_relaxed);
-  stats.deadline_cuts = deadline_cuts_.load(std::memory_order_relaxed);
-  stats.breaker_opens = router_ != nullptr ? router_->breaker_opens() : 0;
-  return stats;
-}
-
-RecoveryStats ServerlessPlatform::recovery_stats() const {
-  RecoveryStats stats;
-  stats.enclave_failures = enclave_failures_.load(std::memory_order_relaxed);
-  stats.quarantined_slots = quarantined_slots_.load(std::memory_order_relaxed);
-  stats.relaunches = relaunches_.load(std::memory_order_relaxed);
-  stats.relaunch_backoffs = relaunch_backoffs_.load(std::memory_order_relaxed);
-  stats.retries = retries_.load(std::memory_order_relaxed);
-  stats.deadline_cuts = deadline_cuts_.load(std::memory_order_relaxed);
-  stats.shutdown_drops = shutdown_drops_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-RtTierStats ServerlessPlatform::rt_stats() const {
-  RtTierStats stats;
-  stats.enabled = rt_exec_ != nullptr;
-  if (rt_exec_ != nullptr) {
-    const RtExecutorStats e = rt_exec_->stats();
-    stats.lanes = e.lanes;
-    stats.busy_lanes = e.busy_lanes;
-    stats.rejected_full = e.rejected_full;
-    stats.pinned = e.pinned;
-    stats.elevated = e.elevated;
-    stats.interactive_depth = scheduler_.DepthInClasses(rt_mask_);
-  }
-  stats.dispatches = rt_dispatches_.load(std::memory_order_relaxed);
-  stats.fallbacks = rt_fallbacks_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 void ServerlessPlatform::RegisterMetrics(
@@ -963,117 +921,77 @@ void ServerlessPlatform::RegisterMetrics(
                                obs::Histogram::LatencyBounds(), cls_labels),
         std::memory_order_release);
   }
-  // Scrape-time collector over the existing atomic counters: the hot paths
-  // keep their plain relaxed fetch_adds; the registry only pays at
-  // Snapshot(). Metric names: docs/BENCHMARKS.md "Metric names".
+  // One scrape-time collector reads every counter in place; the only values
+  // computed here are the read-time gauges (policy, queue depths, average
+  // batch, RT lanes). obs_test's ExportedMetricContractOnClusterStack pins
+  // the exported names and label keys.
   metrics_collector_ = obs::ScopedCollector(
       registry, [this, labels = std::move(labels)]() {
         std::vector<obs::Sample> samples;
         samples.reserve(32);
-        const PlatformStats p = stats();
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_platform_invocations_total", p.invocations, labels));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_platform_cold_starts_total", p.cold_starts, labels));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_platform_reaped_containers_total", p.reaped_containers,
-            labels));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_platform_breaker_opens_total",
-            static_cast<double>(p.breaker_opens), labels));
-
-        const RecoveryStats r = recovery_stats();
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_recovery_enclave_failures_total",
-            static_cast<double>(r.enclave_failures), labels));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_recovery_quarantined_slots_total",
-            static_cast<double>(r.quarantined_slots), labels));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_recovery_relaunches_total",
-            static_cast<double>(r.relaunches), labels));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_recovery_relaunch_backoffs_total",
-            static_cast<double>(r.relaunch_backoffs), labels));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_recovery_retries_total", static_cast<double>(r.retries),
-            labels));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_recovery_deadline_cuts_total",
-            static_cast<double>(r.deadline_cuts), labels));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_recovery_shutdown_drops_total",
-            static_cast<double>(r.shutdown_drops), labels));
-
-        const sched::SchedStats s = scheduler_stats();
         auto with = [&labels](std::string key, std::string value) {
           auto combined = labels;
           combined.emplace_back(std::move(key), std::move(value));
           return combined;
         };
-        samples.push_back(obs::MakeGaugeSample("sesemi_sched_policy_info", 1,
-                                               with("policy", s.policy)));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_sched_submitted_total", static_cast<double>(s.submitted),
-            labels));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_sched_admitted_total", static_cast<double>(s.admitted),
-            labels));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_sched_dispatched_total", static_cast<double>(s.dispatched),
-            labels));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_sched_rejected_total", static_cast<double>(s.rejected_rate),
-            with("reason", "rate")));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_sched_rejected_total",
-            static_cast<double>(s.rejected_depth), with("reason", "depth")));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_sched_rejected_total",
-            static_cast<double>(s.rejected_global), with("reason", "global")));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_sched_deadline_drops_total", static_cast<double>(s.drops),
-            labels));
-        samples.push_back(obs::MakeGaugeSample(
-            "sesemi_sched_queue_depth", static_cast<double>(s.queue_depth),
-            labels));
-        samples.push_back(obs::MakeCounterSample(
-            "sesemi_sched_batches_total", static_cast<double>(s.batches),
-            labels));
-        samples.push_back(obs::MakeGaugeSample("sesemi_sched_avg_batch_size",
-                                               s.avg_batch_size, labels));
-        for (int cls = 0; cls < sched::kNumPriorityClasses; ++cls) {
-          const auto& wait = s.wait[static_cast<size_t>(cls)];
-          auto cls_labels = with("class", std::to_string(cls));
-          samples.push_back(obs::MakeGaugeSample(
-              "sesemi_sched_wait_p50_seconds",
-              MicrosToSeconds(wait.p50), cls_labels));
-          samples.push_back(obs::MakeGaugeSample(
-              "sesemi_sched_wait_p99_seconds",
-              MicrosToSeconds(wait.p99), cls_labels));
-        }
+        auto counter = [&samples](const char* name, const obs::Counter& value,
+                                  const auto& sample_labels) {
+          samples.push_back(obs::MakeCounterSample(
+              name, static_cast<double>(value.Value()), sample_labels));
+        };
+        auto gauge = [&samples, &labels](const char* name, double value) {
+          samples.push_back(obs::MakeGaugeSample(name, value, labels));
+        };
 
-        const RtTierStats rt = rt_stats();
+        const PlatformCounters& p = counters_;
+        counter("sesemi_platform_invocations_total", p.invocations, labels);
+        counter("sesemi_platform_cold_starts_total", p.cold_starts, labels);
+        counter("sesemi_platform_reaped_containers_total", p.reaped_containers,
+                labels);
+        counter("sesemi_recovery_enclave_failures_total", p.enclave_failures,
+                labels);
+        counter("sesemi_recovery_quarantined_slots_total", p.quarantined_slots,
+                labels);
+        counter("sesemi_recovery_relaunches_total", p.relaunches, labels);
+        counter("sesemi_recovery_relaunch_backoffs_total", p.relaunch_backoffs,
+                labels);
+        counter("sesemi_recovery_retries_total", p.retries, labels);
+        counter("sesemi_recovery_deadline_cuts_total", p.deadline_cuts, labels);
+        counter("sesemi_recovery_shutdown_drops_total", p.shutdown_drops,
+                labels);
+
+        const sched::SchedulerCounters& s = scheduler_.counters();
+        const sched::AdmissionCounters& a = scheduler_.admission_counters();
         samples.push_back(obs::MakeGaugeSample(
-            "sesemi_rt_tier_enabled", rt.enabled ? 1.0 : 0.0, labels));
-        if (rt.enabled) {
-          samples.push_back(obs::MakeGaugeSample(
-              "sesemi_rt_lanes", static_cast<double>(rt.lanes), labels));
-          samples.push_back(obs::MakeGaugeSample(
-              "sesemi_rt_busy_lanes", static_cast<double>(rt.busy_lanes),
-              labels));
-          samples.push_back(obs::MakeCounterSample(
-              "sesemi_rt_dispatches_total",
-              static_cast<double>(rt.dispatches), labels));
-          samples.push_back(obs::MakeCounterSample(
-              "sesemi_rt_fallbacks_total", static_cast<double>(rt.fallbacks),
-              labels));
+            "sesemi_sched_policy_info", 1,
+            with("policy", sched::ToString(scheduler_.policy_kind()))));
+        counter("sesemi_sched_submitted_total", s.submitted, labels);
+        counter("sesemi_sched_admitted_total", a.admitted, labels);
+        counter("sesemi_sched_dispatched_total", s.dispatched, labels);
+        counter("sesemi_sched_rejected_total", a.rejected_rate,
+                with("reason", "rate"));
+        counter("sesemi_sched_rejected_total", a.rejected_depth,
+                with("reason", "depth"));
+        counter("sesemi_sched_rejected_total", a.rejected_global,
+                with("reason", "global"));
+        counter("sesemi_sched_deadline_drops_total", s.drops, labels);
+        gauge("sesemi_sched_queue_depth",
+              static_cast<double>(scheduler_.TotalDepth()));
+        counter("sesemi_sched_batches_total", s.batches, labels);
+        gauge("sesemi_sched_avg_batch_size", s.avg_batch_size());
+
+        gauge("sesemi_rt_tier_enabled", rt_exec_ != nullptr ? 1.0 : 0.0);
+        if (rt_exec_ != nullptr) {
+          const RtExecutorStats rt = rt_exec_->stats();
+          gauge("sesemi_rt_lanes", rt.lanes);
+          gauge("sesemi_rt_busy_lanes", rt.busy_lanes);
+          counter("sesemi_rt_dispatches_total", p.rt_dispatches, labels);
+          counter("sesemi_rt_fallbacks_total", p.rt_fallbacks, labels);
           samples.push_back(obs::MakeCounterSample(
               "sesemi_rt_rejected_full_total",
               static_cast<double>(rt.rejected_full), labels));
-          samples.push_back(obs::MakeGaugeSample(
-              "sesemi_rt_interactive_depth",
-              static_cast<double>(rt.interactive_depth), labels));
+          gauge("sesemi_rt_interactive_depth",
+                static_cast<double>(interactive_depth()));
         }
         return samples;
       });

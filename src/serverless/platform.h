@@ -16,7 +16,6 @@
 #include "common/parallel_for.h"
 #include "common/result.h"
 #include "common/rt_executor.h"
-#include "fnpacker/router.h"
 #include "keyservice/keyservice.h"
 #include "obs/metrics.h"
 #include "sched/scheduler.h"
@@ -79,17 +78,24 @@ struct FunctionSpec {
   sched::FunctionSchedParams sched;
 };
 
-/// Cumulative platform statistics.
-struct PlatformStats {
-  int invocations = 0;
-  int cold_starts = 0;
-  int reaped_containers = 0;
-  // Recovery counters (full breakdown via recovery_stats()).
-  uint64_t enclave_failures = 0;  ///< enclaves poisoned by a faulting ecall
-  uint64_t relaunches = 0;        ///< successful cold starts after a poisoning
-  uint64_t retries = 0;           ///< idempotent-stage retry attempts
-  uint64_t breaker_opens = 0;     ///< from the attached router, if any
-  uint64_t deadline_cuts = 0;     ///< invocations cut at execution time
+/// Cumulative platform counts, incremented in place by the dispatch,
+/// container, recovery and RT paths. The scheduler's counts live in
+/// sched::SchedulerCounters, the RT lanes' in RtExecutorStats.
+struct PlatformCounters {
+  obs::Counter invocations;  ///< requests that ran in an enclave
+  obs::Counter cold_starts;
+  obs::Counter reaped_containers;
+  // Failure recovery (policy in serverless/recovery.h).
+  obs::Counter enclave_failures;   ///< enclaves poisoned by a faulting ecall
+  obs::Counter quarantined_slots;  ///< warm slots pulled off the freelist
+  obs::Counter relaunches;         ///< successful cold starts after a poisoning
+  obs::Counter relaunch_backoffs;  ///< cold starts rejected while backing off
+  obs::Counter retries;            ///< idempotent-stage retry attempts
+  obs::Counter deadline_cuts;      ///< invocations cut by the execution deadline
+  obs::Counter shutdown_drops;     ///< futures resolved Unavailable at shutdown
+  // RT tier (both stay 0 while it is disabled).
+  obs::Counter rt_dispatches;  ///< requests executed on RT lanes
+  obs::Counter rt_fallbacks;   ///< ring-full degradations to the shared pool
 };
 
 /// Everything one asynchronous invocation produces: the sealed response (or
@@ -112,19 +118,6 @@ struct InvocationResult {
   /// Hashed std::thread::id of the executing thread. The isolation tests
   /// assert interactive and bulk executions land on disjoint thread sets.
   uint64_t exec_thread = 0;
-};
-
-/// Point-in-time view of the RT tier (zeroed when the tier is disabled).
-struct RtTierStats {
-  bool enabled = false;
-  int lanes = 0;
-  int busy_lanes = 0;
-  uint64_t dispatches = 0;        ///< requests executed on RT lanes
-  uint64_t fallbacks = 0;         ///< ring-full degradations to the shared pool
-  uint64_t rejected_full = 0;     ///< raw executor-ring rejections
-  size_t interactive_depth = 0;   ///< queued requests in the RT classes
-  bool pinned = false;            ///< lane affinity applied (EPERM degrades)
-  bool elevated = false;          ///< SCHED_FIFO applied (EPERM degrades)
 };
 
 /// Per-call scheduling overrides for InvokeAsync (defaults inherit the
@@ -204,19 +197,24 @@ class ServerlessPlatform {
                                             semirt::InferenceRequest request,
                                             const InvokeOptions& options = {});
 
-  /// Scheduler introspection: queue depth, drops by reason, batch sizes,
-  /// per-class queue-wait percentiles, per-function service counts.
-  sched::SchedStats scheduler_stats() const { return scheduler_.stats(); }
+  const PlatformCounters& counters() const { return counters_; }
 
-  /// Execution-tier introspection: lane occupancy, RT dispatch/fallback
-  /// counters, interactive backlog (what the cluster autoscaler samples).
-  RtTierStats rt_stats() const;
+  /// The request scheduler, for its counters (admission drops by reason,
+  /// dispatches, batches) and per-function queue stats.
+  const sched::RequestScheduler& scheduler() const { return scheduler_; }
+
+  /// The RT lanes (occupancy, ring rejections, pinning), or null while the
+  /// tier is disabled.
+  const RtExecutor* rt_executor() const { return rt_exec_.get(); }
 
   /// Requests currently queued in this platform's scheduler. One atomic
   /// read — cheap enough for the cluster router's bounded-load placement to
-  /// poll on every invocation (scheduler_stats() is the heavyweight
-  /// snapshot).
+  /// poll on every invocation.
   size_t queue_depth() const { return scheduler_.TotalDepth(); }
+
+  /// Requests queued in the RT-routed classes (0 while the tier is
+  /// disabled): the interactive backlog the cluster autoscaler samples.
+  size_t interactive_depth() const { return scheduler_.DepthInClasses(rt_mask_); }
 
   /// Gate the dispatcher tasks (benchmarks/tests): while paused, InvokeAsync
   /// submissions accumulate in the scheduler; Resume releases them in policy
@@ -232,22 +230,13 @@ class ServerlessPlatform {
   /// Number of live containers for `function` ("" = all).
   int ContainerCount(const std::string& function = "") const;
 
-  PlatformStats stats() const;
-
-  /// Snapshot of the failure-recovery counters (quarantines, relaunch
-  /// backoffs, shutdown drops — the full breakdown behind stats()).
-  RecoveryStats recovery_stats() const;
-
-  /// Attach a request router so its breaker transitions surface through
-  /// stats().breaker_opens. Call before traffic; the platform does not take
-  /// ownership and the router must outlive it.
-  void AttachRouter(fnpacker::RequestRouter* router) { router_ = router; }
-
-  /// Re-home this platform's counters (PlatformStats, RecoveryStats,
-  /// SchedStats) into `registry` as a scrape-time collector under
-  /// `sesemi_platform_*` / `sesemi_sched_*` names. The label (e.g.
-  /// node="2") distinguishes platforms sharing one registry; deregistration
-  /// is automatic at destruction. See docs/ARCHITECTURE.md "Observability".
+  /// Export this platform's counters, its scheduler's and admission
+  /// controller's counters, and the RT lanes into `registry` through one
+  /// scrape-time collector (`sesemi_platform_*`, `sesemi_recovery_*`,
+  /// `sesemi_sched_*`, `sesemi_rt_*`), and bind the per-class wait/exec
+  /// histograms. The label (e.g. node="2") distinguishes platforms sharing
+  /// one registry; deregistration is automatic at destruction. See
+  /// docs/ARCHITECTURE.md "Observability".
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        std::vector<std::pair<std::string, std::string>> labels = {});
 
@@ -413,24 +402,14 @@ class ServerlessPlatform {
   mutable std::shared_mutex functions_mutex_;
   std::unordered_map<std::string, std::unique_ptr<FunctionShard>> functions_;
 
-  std::atomic<int> invocations_{0};
-  std::atomic<int> cold_starts_{0};
-  std::atomic<int> reaped_containers_{0};
+  PlatformCounters counters_;
   std::atomic<TimeMicros> last_reap_{0};
 
   // Recovery state (see serverless/recovery.h for the policy).
   RelaunchGate relaunch_gate_;
   JitteredBackoff retry_backoff_;
   std::atomic<int> pending_relaunches_{0};  ///< poisonings awaiting a relaunch
-  std::atomic<uint64_t> enclave_failures_{0};
-  std::atomic<uint64_t> quarantined_slots_{0};
-  std::atomic<uint64_t> relaunches_{0};
-  std::atomic<uint64_t> relaunch_backoffs_{0};
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> deadline_cuts_{0};
-  std::atomic<uint64_t> shutdown_drops_{0};
   std::atomic<bool> shutting_down_{false};
-  fnpacker::RequestRouter* router_ = nullptr;  ///< optional breaker surface
 
   /// Request scheduler (admission + fair queues + batcher). Dispatcher tasks
   /// on the fork-join pool pull from it; their count is bounded by
@@ -448,8 +427,6 @@ class ServerlessPlatform {
   sched::ClassMask rt_mask_ = 0;
   sched::ClassMask bulk_mask_ = sched::kAllClasses;
   std::unique_ptr<RtExecutor> rt_exec_;  ///< reset first in the destructor
-  std::atomic<uint64_t> rt_dispatches_{0};
-  std::atomic<uint64_t> rt_fallbacks_{0};
 
   /// Per-class latency histograms, bound at RegisterMetrics (null = not
   /// registered; the hot path pays one relaxed load to find out).
@@ -458,7 +435,7 @@ class ServerlessPlatform {
   std::array<std::atomic<obs::Histogram*>, sched::kNumPriorityClasses>
       exec_hist_{};
 
-  /// Deregisters the stats collector before the counters it reads die.
+  /// Deregisters the collector before the counters it reads die.
   obs::ScopedCollector metrics_collector_;
 
   /// Declared last so outstanding async invocations drain before any other

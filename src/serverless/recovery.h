@@ -43,17 +43,6 @@ struct RecoveryConfig {
   RetryPolicy retry;
 };
 
-/// Counters surfaced through ServerlessPlatform::recovery_stats().
-struct RecoveryStats {
-  uint64_t enclave_failures = 0;   ///< enclaves poisoned by a faulting ecall
-  uint64_t quarantined_slots = 0;  ///< warm slots pulled off the freelist
-  uint64_t relaunches = 0;         ///< successful cold starts after a poisoning
-  uint64_t relaunch_backoffs = 0;  ///< cold starts rejected while backing off
-  uint64_t retries = 0;            ///< idempotent-stage retry attempts
-  uint64_t deadline_cuts = 0;      ///< invocations cut by the execution deadline
-  uint64_t shutdown_drops = 0;     ///< futures resolved Unavailable at shutdown
-};
-
 /// An error that poisons the enclave: internal invariants or data integrity
 /// are gone, so the enclave must be torn down and relaunched. Resource
 /// pressure (kResourceExhausted) and transient faults (kUnavailable) do NOT

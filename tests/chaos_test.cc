@@ -179,14 +179,12 @@ TEST_F(ChaosTest, SoakRecoversToSteadyState) {
   // A sweep retires every drained poisoned enclave; the counters must agree:
   // each poisoned container contributes at least one quarantined token.
   platform_->ReapIdleContainers();
-  RecoveryStats rs = platform_->recovery_stats();
-  if (rs.enclave_failures > 0) {
-    EXPECT_GE(rs.quarantined_slots, rs.enclave_failures);
+  const PlatformCounters& counters = platform_->counters();
+  if (counters.enclave_failures.Value() > 0) {
+    EXPECT_GE(counters.quarantined_slots.Value(),
+              counters.enclave_failures.Value());
   }
   EXPECT_GE(platform_->ContainerCount("predict"), 1);
-  PlatformStats stats = platform_->stats();
-  EXPECT_EQ(stats.enclave_failures, rs.enclave_failures);
-  EXPECT_EQ(stats.retries, rs.retries);
 }
 
 // Poisoning must quarantine and relaunch deterministically, not just under
@@ -209,9 +207,10 @@ TEST_F(ChaosTest, SingleEcallFaultQuarantinesAndRelaunches) {
     EXPECT_NE(r.status().message().find("enclave failure"), std::string::npos);
   }
 
-  RecoveryStats rs = platform_->recovery_stats();
-  EXPECT_EQ(rs.enclave_failures, 1u);
-  EXPECT_EQ(rs.retries, 0u);  // the inference ecall is not an idempotent stage
+  const PlatformCounters& counters = platform_->counters();
+  EXPECT_EQ(counters.enclave_failures.Value(), 1u);
+  // The inference ecall is not an idempotent stage.
+  EXPECT_EQ(counters.retries.Value(), 0u);
 
   // Service resumes on fresh capacity (bounded settle for relaunch backoff).
   bool recovered = false;
@@ -223,7 +222,7 @@ TEST_F(ChaosTest, SingleEcallFaultQuarantinesAndRelaunches) {
   }
   EXPECT_TRUE(recovered);
   platform_->ReapIdleContainers();  // retires the drained poisoned enclave
-  EXPECT_GE(platform_->recovery_stats().quarantined_slots, 1u);
+  EXPECT_GE(counters.quarantined_slots.Value(), 1u);
 }
 
 // Idempotent-stage faults (model fetch here) are retried inside one Invoke:
@@ -237,8 +236,8 @@ TEST_F(ChaosTest, IdempotentStageFaultIsRetriedTransparently) {
     ScopedFault fault(faults::kStorageGet, config);
     auto r = platform_->Invoke("predict", BuildRequest());
     EXPECT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(platform_->recovery_stats().retries, 1u);
-    EXPECT_EQ(platform_->recovery_stats().enclave_failures, 0u);
+    EXPECT_EQ(platform_->counters().retries.Value(), 1u);
+    EXPECT_EQ(platform_->counters().enclave_failures.Value(), 0u);
   }
 
   // The same rule for a coalesced unit: the fault fails the shared model
@@ -267,8 +266,8 @@ TEST_F(ChaosTest, IdempotentStageFaultIsRetriedTransparently) {
     ok += out.response.ok() ? 1 : 0;
   }
   EXPECT_EQ(ok, 4);
-  EXPECT_EQ(batched.recovery_stats().retries, 1u);
-  EXPECT_EQ(batched.recovery_stats().enclave_failures, 0u);
+  EXPECT_EQ(batched.counters().retries.Value(), 1u);
+  EXPECT_EQ(batched.counters().enclave_failures.Value(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -321,8 +320,8 @@ TEST_F(ClusterChaosTest, NodeKillMidReplayReroutesAndRecovers) {
     if (cluster_->node(i)->ContainerCount("predict") > 0) victim = i;
   }
   ASSERT_GE(victim, 0);
-  const uint64_t victim_routed_before =
-      cluster_->stats().nodes[static_cast<size_t>(victim)].routed;
+  const obs::Counter& victim_routed = cluster_->node_counters(victim).routed;
+  const uint64_t victim_routed_before = victim_routed.Value();
 
   // Storm: the victim's dispatch path fails every probe (a dead node), and
   // a low-rate ecall fault poisons enclaves anywhere in the cluster.
@@ -370,11 +369,9 @@ TEST_F(ClusterChaosTest, NodeKillMidReplayReroutesAndRecovers) {
   EXPECT_GT(ok_count.load(), 0) << "router failed to reroute around the victim";
   EXPECT_EQ(ok_count.load() + failed_count.load(), kThreads * kPerThread);
 
-  cluster::ClusterStats storm = cluster_->stats();
-  EXPECT_GT(storm.reroutes, 0u);
+  EXPECT_GT(cluster_->counters().reroutes.Value(), 0u);
   // The dead node's dispatch probe never admitted a request.
-  EXPECT_EQ(storm.nodes[static_cast<size_t>(victim)].routed,
-            victim_routed_before);
+  EXPECT_EQ(victim_routed.Value(), victim_routed_before);
 
   // Faults off: the cluster must recover unaided — first to service, then
   // to home routing on the revived victim (its health cooldown expires and
@@ -383,9 +380,7 @@ TEST_F(ClusterChaosTest, NodeKillMidReplayReroutesAndRecovers) {
   bool recovered = false;
   for (int i = 0; i < 500 && !recovered; ++i) {
     const bool ok = ClusterInvoke().ok();
-    recovered =
-        ok && cluster_->stats().nodes[static_cast<size_t>(victim)].routed >
-                  victim_routed_before;
+    recovered = ok && victim_routed.Value() > victim_routed_before;
     if (!recovered) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -400,11 +395,12 @@ TEST_F(ClusterChaosTest, NodeKillMidReplayReroutesAndRecovers) {
 
   // Counter consistency: every routed request is an invocation, and the
   // routed totals across nodes account for all of them.
-  cluster::ClusterStats stats = cluster_->stats();
   uint64_t routed = 0;
-  for (const auto& node : stats.nodes) routed += node.routed;
-  EXPECT_EQ(routed, stats.invocations);
-  EXPECT_EQ(stats.no_capacity, 0u);
+  for (int i = 0; i < cluster_->total_nodes(); ++i) {
+    routed += cluster_->node_counters(i).routed.Value();
+  }
+  EXPECT_EQ(routed, cluster_->counters().invocations.Value());
+  EXPECT_EQ(cluster_->counters().no_capacity.Value(), 0u);
 }
 
 }  // namespace

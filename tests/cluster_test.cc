@@ -357,11 +357,12 @@ TEST_F(ClusterTest, RoutesExecutesAndCountsPerNode) {
     EXPECT_FALSE(result->empty());
   }
 
-  ClusterStats stats = cluster_->stats();
-  EXPECT_EQ(stats.invocations, kRequests);
-  EXPECT_EQ(stats.no_capacity, 0u);
+  EXPECT_EQ(cluster_->counters().invocations.Value(), kRequests);
+  EXPECT_EQ(cluster_->counters().no_capacity.Value(), 0u);
   uint64_t routed = 0;
-  for (const ClusterNodeStats& node : stats.nodes) routed += node.routed;
+  for (int i = 0; i < cluster_->total_nodes(); ++i) {
+    routed += cluster_->node_counters(i).routed.Value();
+  }
   EXPECT_EQ(routed, kRequests);
 }
 
@@ -374,11 +375,12 @@ TEST_F(ClusterTest, PlacementIsStableAtLowLoad) {
   // Sequential low-load invocations of one (function, model) key all land
   // on its home node: no backlog means the bounded pick never diverts.
   for (int i = 0; i < 8; ++i) ASSERT_TRUE(InvokeOnce("predict").ok());
-  ClusterStats stats = cluster_->stats();
-  EXPECT_EQ(stats.home_hits, 8u);
-  EXPECT_EQ(stats.steals, 0u);
+  EXPECT_EQ(cluster_->counters().home_hits.Value(), 8u);
+  EXPECT_EQ(cluster_->counters().steals.Value(), 0u);
   int nodes_used = 0;
-  for (const ClusterNodeStats& node : stats.nodes) nodes_used += node.routed > 0;
+  for (int i = 0; i < cluster_->total_nodes(); ++i) {
+    nodes_used += cluster_->node_counters(i).routed.Value() > 0;
+  }
   EXPECT_EQ(nodes_used, 1);
   // All containers sit on that one home node.
   EXPECT_GE(SoleContainerNode("predict"), 0);
@@ -405,15 +407,15 @@ TEST_F(ClusterTest, StealsWarmSlotInsteadOfColdStarting) {
   ASSERT_EQ(cluster_->node(warm)->ContainerCount("predict"), 1);
 
   ASSERT_TRUE(InvokeOnce("predict").ok());
-  ClusterStats stats = cluster_->stats();
-  EXPECT_EQ(stats.steals, 1u);
-  ASSERT_EQ(stats.nodes.size(), 3u);
-  EXPECT_EQ(stats.nodes[warm].steal_wins, 1u);
+  EXPECT_EQ(cluster_->counters().steals.Value(), 1u);
+  ASSERT_EQ(cluster_->total_nodes(), 3);
+  EXPECT_EQ(cluster_->node_counters(warm).steal_wins.Value(), 1u);
   // The steal reused the warm container: still exactly one, still no
   // container at home.
   EXPECT_EQ(cluster_->node(warm)->ContainerCount("predict"), 1);
   EXPECT_EQ(cluster_->node(home)->ContainerCount("predict"), 0);
-  EXPECT_EQ(cluster_->node(warm)->stats().cold_starts, 1u);  // the direct warm
+  // The warm node's one cold start is the direct warm-up above.
+  EXPECT_EQ(cluster_->node(warm)->counters().cold_starts.Value(), 1u);
 }
 
 TEST_F(ClusterTest, ReroutesWhenHomeNodeDeactivates) {
@@ -429,12 +431,11 @@ TEST_F(ClusterTest, ReroutesWhenHomeNodeDeactivates) {
   ASSERT_TRUE(cluster_->DeactivateNode(home).ok());
   EXPECT_EQ(cluster_->active_nodes(), 2);
   ASSERT_TRUE(InvokeOnce("predict").ok());
-  ClusterStats stats = cluster_->stats();
   // The second request landed somewhere else (a fresh cold start there —
   // the deactivated node's warm container is not eligible for stealing).
   uint64_t routed_elsewhere = 0;
-  for (const ClusterNodeStats& node : stats.nodes) {
-    if (node.node != home) routed_elsewhere += node.routed;
+  for (int i = 0; i < cluster_->total_nodes(); ++i) {
+    if (i != home) routed_elsewhere += cluster_->node_counters(i).routed.Value();
   }
   EXPECT_EQ(routed_elsewhere, 1u);
 
@@ -442,7 +443,7 @@ TEST_F(ClusterTest, ReroutesWhenHomeNodeDeactivates) {
   // again — and now *steals back* to the node that kept the warm container.
   ASSERT_TRUE(cluster_->ActivateNode(home).ok());
   ASSERT_TRUE(InvokeOnce("predict").ok());
-  EXPECT_EQ(cluster_->stats().nodes[home].routed, 2u);
+  EXPECT_EQ(cluster_->node_counters(home).routed.Value(), 2u);
 }
 
 TEST_F(ClusterTest, DeactivateLastNodeRefused) {
@@ -477,8 +478,7 @@ TEST_F(ClusterTest, AutoscaleUpFromRealBacklogThenDownWhenIdle) {
   ASSERT_EQ(cluster_->active_nodes(), 1);
 
   // Gate node 0's dispatcher so submissions pile up in its scheduler — a
-  // real queue_depth backlog, observed by AutoscaleTick via
-  // scheduler_stats().
+  // real queue_depth backlog, observed by AutoscaleTick via queue_depth().
   cluster_->node(0)->PauseDispatch();
   std::vector<std::future<serverless::InvocationResult>> futures;
   for (int i = 0; i < 8; ++i) {
@@ -486,7 +486,7 @@ TEST_F(ClusterTest, AutoscaleUpFromRealBacklogThenDownWhenIdle) {
   }
   EXPECT_EQ(cluster_->AutoscaleTick(), +1);
   EXPECT_EQ(cluster_->active_nodes(), 2);
-  EXPECT_EQ(cluster_->stats().scale_ups, 1u);
+  EXPECT_EQ(cluster_->counters().scale_ups.Value(), 1u);
 
   cluster_->node(0)->ResumeDispatch();
   for (auto& f : futures) {
@@ -497,7 +497,7 @@ TEST_F(ClusterTest, AutoscaleUpFromRealBacklogThenDownWhenIdle) {
   // Idle again: the next tick drains the emptier node back out.
   EXPECT_EQ(cluster_->AutoscaleTick(), -1);
   EXPECT_EQ(cluster_->active_nodes(), 1);
-  EXPECT_EQ(cluster_->stats().scale_downs, 1u);
+  EXPECT_EQ(cluster_->counters().scale_downs.Value(), 1u);
   // And at min_nodes the policy holds.
   EXPECT_EQ(cluster_->AutoscaleTick(), 0);
 }

@@ -114,7 +114,7 @@ TEST(FnPackerTest, PrefersEndpointWithModelLoaded) {
   auto e1 = router.Route("m0", 200);
   ASSERT_TRUE(e1.ok());
   EXPECT_EQ(*e0, *e1);
-  EXPECT_EQ(router.stats().model_switches, 0);
+  EXPECT_EQ(router.counters().model_switches.Value(), 0u);
 }
 
 TEST(FnPackerTest, OverflowFallsBackToLeastLoaded) {
@@ -124,7 +124,7 @@ TEST(FnPackerTest, OverflowFallsBackToLeastLoaded) {
   ASSERT_TRUE(router.Route("m1", 2).ok());   // m1's ep now pending=2
   auto e = router.Route("m2", 3);            // everything busy
   ASSERT_TRUE(e.ok());
-  EXPECT_EQ(router.stats().overflow, 1);
+  EXPECT_EQ(router.counters().overflow.Value(), 1u);
   // Fallback picks the least-loaded endpoint: m0's (pending 1 vs m1's 2).
   EXPECT_EQ(router.endpoint_state(*e).pending, 2);  // 1 (m0) + the overflow
   EXPECT_GE(*e, 0);
@@ -138,9 +138,9 @@ TEST(FnPackerTest, StatsCountRoutingDecisions) {
   ASSERT_TRUE(router.Route("m1", SecondsToMicros(60)).ok());
   router.OnComplete("m1", 0, SecondsToMicros(61));
   ASSERT_TRUE(router.Route("m0", SecondsToMicros(120)).ok());
-  RouterStats stats = router.stats();
-  EXPECT_EQ(stats.routed, 3);
-  EXPECT_EQ(stats.model_switches, 0);  // same endpoint, switches counted per model
+  EXPECT_EQ(router.counters().routed.Value(), 3u);
+  // Same endpoint, switches counted per model.
+  EXPECT_EQ(router.counters().model_switches.Value(), 0u);
 }
 
 TEST(OneToOneTest, EachModelGetsOwnEndpoint) {
@@ -224,7 +224,7 @@ TEST(FnPackerConcurrencyTest, ParallelRouteAndCompleteStaysConsistent) {
           bad_endpoints.fetch_add(1);
         }
         // Exercise the shared-lock read side concurrently with writers.
-        (void)router.stats();
+        (void)router.counters().routed.Value();
         (void)router.model_state(model);
         (void)router.endpoint_state(*endpoint);
         router.OnComplete(model, *endpoint, i + 1);
@@ -237,8 +237,8 @@ TEST(FnPackerConcurrencyTest, ParallelRouteAndCompleteStaysConsistent) {
 
   EXPECT_EQ(route_errors.load(), 0);
   EXPECT_EQ(bad_endpoints.load(), 0);
-  RouterStats stats = router.stats();
-  EXPECT_EQ(stats.routed, kThreads * kIters);
+  EXPECT_EQ(router.counters().routed.Value(),
+            static_cast<uint64_t>(kThreads * kIters));
   for (const std::string& m : models) {
     EXPECT_EQ(router.model_state(m).pending, 0) << m;
   }
@@ -288,10 +288,10 @@ TEST(FnPackerConcurrencyTest, DistinctEndpointsRouteInParallel) {
   for (auto& t : threads) t.join();
 
   EXPECT_EQ(unpinned_routes.load(), 0);
-  EXPECT_EQ(router.stats().routed,
-            static_cast<int>(models.size()) * (kIters + 1));
-  EXPECT_EQ(router.stats().overflow, 0);
-  EXPECT_EQ(router.stats().model_switches, 0);
+  EXPECT_EQ(router.counters().routed.Value(),
+            static_cast<uint64_t>(models.size() * (kIters + 1)));
+  EXPECT_EQ(router.counters().overflow.Value(), 0u);
+  EXPECT_EQ(router.counters().model_switches.Value(), 0u);
 
   // Release the pins; all counters must return to zero.
   for (size_t i = 0; i < models.size(); ++i) {
@@ -323,8 +323,7 @@ TEST(FnPackerBreakerTest, DisabledByDefaultNeverOpens) {
     router.OnFailure("m0", *e, i);
   }
   EXPECT_FALSE(router.endpoint_state(0).breaker_open);
-  EXPECT_EQ(router.stats().breaker_opens, 0);
-  EXPECT_EQ(router.breaker_opens(), 0u);
+  EXPECT_EQ(router.counters().breaker_opens.Value(), 0u);
 }
 
 TEST(FnPackerBreakerTest, OpensAfterConsecutiveFailuresAndRoutesAround) {
@@ -340,8 +339,7 @@ TEST(FnPackerBreakerTest, OpensAfterConsecutiveFailuresAndRoutesAround) {
   router.OnFailure("m0", *again, 3);
 
   EXPECT_TRUE(router.endpoint_state(*first).breaker_open);
-  EXPECT_EQ(router.stats().breaker_opens, 1);
-  EXPECT_EQ(router.breaker_opens(), 1u);
+  EXPECT_EQ(router.counters().breaker_opens.Value(), 1u);
   EXPECT_EQ(router.endpoint_state(*first).breaker_failures, 2);
 
   // The open endpoint is skipped: traffic lands on the replica.
@@ -368,7 +366,7 @@ TEST(FnPackerBreakerTest, AllEndpointsOpenShedsWithTypedUnavailable) {
   auto shed = router.Route("m0", 10);
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(router.stats().breaker_rejections, 1);
+  EXPECT_EQ(router.counters().breaker_rejections.Value(), 1u);
 }
 
 TEST(FnPackerBreakerTest, HalfOpenProbeClosesOnSuccess) {
@@ -389,7 +387,7 @@ TEST(FnPackerBreakerTest, HalfOpenProbeClosesOnSuccess) {
   EXPECT_FALSE(router.endpoint_state(0).breaker_open);
   EXPECT_EQ(router.endpoint_state(0).breaker_failures, 0);
   EXPECT_TRUE(router.Route("m0", 2002).ok());  // normal service resumed
-  EXPECT_EQ(router.stats().breaker_opens, 1);
+  EXPECT_EQ(router.counters().breaker_opens.Value(), 1u);
 }
 
 TEST(FnPackerBreakerTest, HalfOpenProbeFailureReopens) {
@@ -406,7 +404,7 @@ TEST(FnPackerBreakerTest, HalfOpenProbeFailureReopens) {
   router.OnFailure("m0", *probe, 2001);  // probe failed: reopen immediately
 
   EXPECT_TRUE(router.endpoint_state(0).breaker_open);
-  EXPECT_EQ(router.stats().breaker_opens, 2);
+  EXPECT_EQ(router.counters().breaker_opens.Value(), 2u);
   EXPECT_FALSE(router.Route("m0", 2500).ok());  // new open interval running
 }
 

@@ -19,6 +19,7 @@
 #include "client/clients.h"
 #include "cluster/cluster.h"
 #include "common/faultpoint.h"
+#include "fnpacker/router.h"
 #include "keyservice/keyservice.h"
 #include "model/zoo.h"
 #include "obs/metrics.h"
@@ -250,20 +251,22 @@ TEST(HistogramTest, LatencyBoundsAreAscending) {
 
 TEST(MetricsRegistryTest, InstrumentsAreKeyedByNameAndLabels) {
   obs::MetricsRegistry registry;
-  obs::Counter* a = registry.GetCounter("reqs", {{"node", "0"}});
-  obs::Counter* b = registry.GetCounter("reqs", {{"node", "0"}});
-  obs::Counter* c = registry.GetCounter("reqs", {{"node", "1"}});
+  obs::Histogram* a = registry.GetHistogram("reqs", {1.0}, {{"node", "0"}});
+  obs::Histogram* b = registry.GetHistogram("reqs", {1.0}, {{"node", "0"}});
+  obs::Histogram* c = registry.GetHistogram("reqs", {1.0}, {{"node", "1"}});
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-  a->Inc(3);
-  c->Inc();
-  std::vector<obs::Sample> samples = registry.Snapshot();
-  ASSERT_EQ(samples.size(), 2u);
+  for (int i = 0; i < 3; ++i) a->Observe(0.5);
+  c->Observe(0.5);
   double total = 0;
-  for (const auto& sample : samples) {
-    EXPECT_EQ(sample.name, "reqs");
+  int count_samples = 0;
+  for (const auto& sample : registry.Snapshot()) {
+    if (sample.kind != obs::SampleKind::kHistogramCount) continue;
+    EXPECT_EQ(sample.name, "reqs_count");
     total += sample.value;
+    count_samples++;
   }
+  EXPECT_EQ(count_samples, 2);
   EXPECT_DOUBLE_EQ(total, 4.0);
 }
 
@@ -321,7 +324,10 @@ TEST(MetricsRegistryTest, CollectorsRunAtSnapshotAndScopedDeregisters) {
 
 TEST(MetricsRegistryTest, PrometheusTextEscapesLabelValues) {
   obs::MetricsRegistry registry;
-  registry.GetCounter("odd", {{"path", "a\"b\\c"}})->Inc();
+  obs::ScopedCollector collector(&registry, [] {
+    return std::vector<obs::Sample>{
+        obs::MakeCounterSample("odd", 1, {{"path", "a\"b\\c"}})};
+  });
   const std::string text = registry.PrometheusText();
   EXPECT_NE(text.find("odd{path=\"a\\\"b\\\\c\"} 1"), std::string::npos) << text;
 }
@@ -487,9 +493,8 @@ TEST_F(ObsLiveTest, ClusterRerouteEmitsInstantInRequestTrace) {
     ASSERT_TRUE(out.response.ok());
   }
   int home = -1;
-  cluster::ClusterStats stats = dataplane.stats();
-  for (const auto& node : stats.nodes) {
-    if (node.routed > 0) home = node.node;
+  for (int i = 0; i < dataplane.total_nodes(); ++i) {
+    if (dataplane.node_counters(i).routed.Value() > 0) home = i;
   }
   ASSERT_GE(home, 0);
 
@@ -651,6 +656,134 @@ TEST_F(ObsLiveTest, PlatformMetricsSurfaceInRegistry) {
   EXPECT_NE(text.find("sesemi_sched_dispatched_total{node=\"7\"} 1"),
             std::string::npos)
       << text;
+}
+
+// The exported metric contract on the stack e2ebench scrapes: a 2-node
+// cluster with one RT lane per node, a batching function, and an FnPacker
+// router on one registry. Pins every series name, its label keys, and how
+// many labelled series it has, so a refactor of the counters behind the
+// collectors cannot silently rename, drop, or relabel a series.
+TEST_F(ObsLiveTest, ExportedMetricContractOnClusterStack) {
+  obs::MetricsRegistry registry;
+  cluster::ClusterConfig config;
+  config.initial_nodes = 2;
+  config.node.rt.enabled = true;
+  config.node.rt.classes = 1;
+  config.node.rt.executor.num_lanes = 1;
+  cluster::ClusterDataplane dataplane(config, &authority_, &storage_,
+                                      keyservice_.get());
+  serverless::FunctionSpec spec;
+  spec.name = "f";
+  spec.sched.max_batch = 4;
+  ASSERT_TRUE(dataplane.DeployFunction(spec).ok());
+  fnpacker::FnPoolSpec pool;
+  pool.models = {"m0"};
+  pool.num_endpoints = 1;
+  fnpacker::FnPackerRouter router(pool);
+  dataplane.RegisterMetrics(&registry);
+  router.RegisterMetrics(&registry);
+
+  constexpr int kRequests = 4;
+  for (int i = 0; i < kRequests; ++i) {
+    Result<int> endpoint = router.Route("m0", i);
+    ASSERT_TRUE(endpoint.ok());
+    serverless::InvocationResult out =
+        dataplane.InvokeAsync("f", BuildRequest(i + 1)).get();
+    ASSERT_TRUE(out.response.ok()) << out.response.status().ToString();
+    router.OnComplete("m0", *endpoint, i);
+  }
+
+  struct Series {
+    std::string label_keys;  ///< comma-joined, in exposition order
+    int count = 0;           ///< distinct labelled series under this name
+  };
+  std::map<std::string, Series> actual;
+  std::map<std::string, double> totals;  ///< summed over labels
+  for (const obs::Sample& sample : registry.Snapshot()) {
+    std::string keys;
+    for (const auto& [key, value] : sample.labels) {
+      keys += (keys.empty() ? "" : ",") + key;
+    }
+    Series& series = actual[sample.name];
+    if (series.count > 0) {
+      EXPECT_EQ(series.label_keys, keys) << sample.name;
+    }
+    series.label_keys = keys;
+    series.count++;
+    totals[sample.name] += sample.value;
+  }
+
+  // Two nodes, three priority classes, 18 latency bounds plus +Inf.
+  const std::map<std::string, Series> expected = {
+      {"sesemi_cluster_active_nodes", {"", 1}},
+      {"sesemi_cluster_home_hits_total", {"", 1}},
+      {"sesemi_cluster_invocations_total", {"", 1}},
+      {"sesemi_cluster_no_capacity_total", {"", 1}},
+      {"sesemi_cluster_node_active", {"node", 2}},
+      {"sesemi_cluster_node_containers", {"node", 2}},
+      {"sesemi_cluster_node_healthy", {"node", 2}},
+      {"sesemi_cluster_node_queue_depth", {"node", 2}},
+      {"sesemi_cluster_node_routed_total", {"node", 2}},
+      {"sesemi_cluster_node_rt_busy_lanes", {"node", 2}},
+      {"sesemi_cluster_node_steal_wins_total", {"node", 2}},
+      {"sesemi_cluster_reroutes_total", {"", 1}},
+      {"sesemi_cluster_scale_downs_total", {"", 1}},
+      {"sesemi_cluster_scale_ups_total", {"", 1}},
+      {"sesemi_cluster_steals_total", {"", 1}},
+      {"sesemi_platform_cold_starts_total", {"node", 2}},
+      {"sesemi_platform_exec_seconds_bucket", {"node,class,le", 114}},
+      {"sesemi_platform_exec_seconds_count", {"node,class", 6}},
+      {"sesemi_platform_exec_seconds_sum", {"node,class", 6}},
+      {"sesemi_platform_invocations_total", {"node", 2}},
+      {"sesemi_platform_reaped_containers_total", {"node", 2}},
+      {"sesemi_recovery_deadline_cuts_total", {"node", 2}},
+      {"sesemi_recovery_enclave_failures_total", {"node", 2}},
+      {"sesemi_recovery_quarantined_slots_total", {"node", 2}},
+      {"sesemi_recovery_relaunch_backoffs_total", {"node", 2}},
+      {"sesemi_recovery_relaunches_total", {"node", 2}},
+      {"sesemi_recovery_retries_total", {"node", 2}},
+      {"sesemi_recovery_shutdown_drops_total", {"node", 2}},
+      {"sesemi_router_breaker_opens_total", {"", 1}},
+      {"sesemi_router_breaker_rejections_total", {"", 1}},
+      {"sesemi_router_model_switches_total", {"", 1}},
+      {"sesemi_router_overflow_total", {"", 1}},
+      {"sesemi_router_routed_total", {"", 1}},
+      {"sesemi_rt_busy_lanes", {"node", 2}},
+      {"sesemi_rt_dispatches_total", {"node", 2}},
+      {"sesemi_rt_fallbacks_total", {"node", 2}},
+      {"sesemi_rt_interactive_depth", {"node", 2}},
+      {"sesemi_rt_lanes", {"node", 2}},
+      {"sesemi_rt_rejected_full_total", {"node", 2}},
+      {"sesemi_rt_tier_enabled", {"node", 2}},
+      {"sesemi_sched_admitted_total", {"node", 2}},
+      {"sesemi_sched_avg_batch_size", {"node", 2}},
+      {"sesemi_sched_batches_total", {"node", 2}},
+      {"sesemi_sched_deadline_drops_total", {"node", 2}},
+      {"sesemi_sched_dispatched_total", {"node", 2}},
+      {"sesemi_sched_policy_info", {"node,policy", 2}},
+      {"sesemi_sched_queue_depth", {"node", 2}},
+      {"sesemi_sched_rejected_total", {"node,reason", 6}},
+      {"sesemi_sched_submitted_total", {"node", 2}},
+      {"sesemi_sched_wait_seconds_bucket", {"node,class,le", 114}},
+      {"sesemi_sched_wait_seconds_count", {"node,class", 6}},
+      {"sesemi_sched_wait_seconds_sum", {"node,class", 6}},
+  };
+  std::set<std::string> expected_names, actual_names;
+  for (const auto& [name, series] : expected) expected_names.insert(name);
+  for (const auto& [name, series] : actual) actual_names.insert(name);
+  EXPECT_EQ(actual_names, expected_names);
+  for (const auto& [name, series] : expected) {
+    auto it = actual.find(name);
+    if (it == actual.end()) continue;  // reported by the name-set check
+    EXPECT_EQ(it->second.label_keys, series.label_keys) << name;
+    EXPECT_EQ(it->second.count, series.count) << name;
+  }
+
+  EXPECT_DOUBLE_EQ(totals["sesemi_cluster_invocations_total"], kRequests);
+  EXPECT_DOUBLE_EQ(totals["sesemi_router_routed_total"], kRequests);
+  EXPECT_DOUBLE_EQ(totals["sesemi_platform_invocations_total"], kRequests);
+  EXPECT_DOUBLE_EQ(totals["sesemi_sched_dispatched_total"], kRequests);
+  EXPECT_DOUBLE_EQ(totals["sesemi_sched_wait_seconds_count"], kRequests);
 }
 
 }  // namespace

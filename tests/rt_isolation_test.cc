@@ -168,10 +168,10 @@ TEST_F(RtIsolationTest, InteractiveNeverExecutesOnBulkPoolUnderSaturation) {
         << "interactive request executed on a bulk pool worker";
   }
 
-  const RtTierStats rt = platform_->rt_stats();
-  EXPECT_TRUE(rt.enabled);
-  EXPECT_EQ(rt.lanes, 1);
-  EXPECT_GE(rt.dispatches, static_cast<uint64_t>(kInteractive));
+  ASSERT_NE(platform_->rt_executor(), nullptr);  // the tier is enabled
+  EXPECT_EQ(platform_->rt_executor()->lanes(), 1);
+  EXPECT_GE(platform_->counters().rt_dispatches.Value(),
+            static_cast<uint64_t>(kInteractive));
 }
 
 TEST_F(RtIsolationTest, RtDisabledKeepsSharedPathAndZeroStats) {
@@ -182,11 +182,10 @@ TEST_F(RtIsolationTest, RtDisabledKeepsSharedPathAndZeroStats) {
   ASSERT_TRUE(r.response.ok()) << r.response.status().ToString();
   EXPECT_EQ(r.rt_lane, -1);
 
-  const RtTierStats rt = platform_->rt_stats();
-  EXPECT_FALSE(rt.enabled);
-  EXPECT_EQ(rt.lanes, 0);
-  EXPECT_EQ(rt.dispatches, 0u);
-  EXPECT_EQ(rt.fallbacks, 0u);
+  // Tier disabled: no executor, hence no lanes, and no RT dispatches.
+  EXPECT_EQ(platform_->rt_executor(), nullptr);
+  EXPECT_EQ(platform_->counters().rt_dispatches.Value(), 0u);
+  EXPECT_EQ(platform_->counters().rt_fallbacks.Value(), 0u);
 }
 
 TEST_F(RtIsolationTest, PauseParksRtClassesAndResumeDrainsThem) {
@@ -199,8 +198,8 @@ TEST_F(RtIsolationTest, PauseParksRtClassesAndResumeDrainsThem) {
 
   // Paused: nothing may dispatch, on either tier.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(platform_->rt_stats().dispatches, 0u);
-  EXPECT_EQ(platform_->rt_stats().interactive_depth, 4u);
+  EXPECT_EQ(platform_->counters().rt_dispatches.Value(), 0u);
+  EXPECT_EQ(platform_->interactive_depth(), 4u);
 
   platform_->ResumeDispatch();
   for (auto& f : inflight) {
@@ -208,7 +207,7 @@ TEST_F(RtIsolationTest, PauseParksRtClassesAndResumeDrainsThem) {
     ASSERT_TRUE(r.response.ok()) << r.response.status().ToString();
     EXPECT_GE(r.rt_lane, 0);
   }
-  EXPECT_EQ(platform_->rt_stats().interactive_depth, 0u);
+  EXPECT_EQ(platform_->interactive_depth(), 0u);
 }
 
 TEST_F(RtIsolationTest, ShutdownWithParkedRtBacklogResolvesEveryFuture) {

@@ -53,7 +53,7 @@ TEST(AdmissionTest, PerFunctionDepthCapRejectsUnavailable) {
   EXPECT_TRUE(admission.Admit("f", 0, 0).ok());
   Status third = admission.Admit("f", 0, 0);
   EXPECT_EQ(third.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(admission.stats().rejected_depth, 1u);
+  EXPECT_EQ(admission.counters().rejected_depth.Value(), 1u);
 
   admission.OnDequeue("f", 0);
   EXPECT_TRUE(admission.Admit("f", 0, 0).ok());
@@ -71,7 +71,7 @@ TEST(AdmissionTest, GlobalQueueAndByteBudgets) {
   EXPECT_TRUE(admission.Admit("a", 0, 0).ok());
   Status fourth = admission.Admit("b", 0, 0);
   EXPECT_EQ(fourth.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(admission.stats().rejected_global, 1u);
+  EXPECT_EQ(admission.counters().rejected_global.Value(), 1u);
 
   AdmissionLimits byte_limits;
   byte_limits.max_queued_bytes = 1000;
@@ -213,7 +213,7 @@ TEST(SchedulerTest, RateLimitedSubmitRejectsTyped) {
   EXPECT_TRUE(scheduler.Submit(Make("f"), 0).ok());
   Status third = scheduler.Submit(Make("f"), 0);
   EXPECT_TRUE(third.IsResourceExhausted());
-  EXPECT_EQ(scheduler.stats().rejected_rate, 1u);
+  EXPECT_EQ(scheduler.admission_counters().rejected_rate.Value(), 1u);
 
   clock.Advance(SecondsToMicros(1));  // 2 tokens back
   EXPECT_TRUE(scheduler.Submit(Make("f"), 0).ok());
@@ -231,11 +231,11 @@ TEST(SchedulerTest, PopBatchCoalescesUpToLimit) {
   EXPECT_EQ(scheduler.PopBatch().size(), 2u);
   EXPECT_TRUE(scheduler.PopBatch().empty());
 
-  const SchedStats stats = scheduler.stats();
-  EXPECT_EQ(stats.dispatched, 6u);
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_EQ(stats.max_batch_size, 4u);
-  EXPECT_DOUBLE_EQ(stats.avg_batch_size, 3.0);
+  const SchedulerCounters& counters = scheduler.counters();
+  EXPECT_EQ(counters.dispatched.Value(), 6u);
+  EXPECT_EQ(counters.batches.Value(), 2u);
+  EXPECT_EQ(counters.max_batch_size.load(), 4u);
+  EXPECT_DOUBLE_EQ(counters.avg_batch_size(), 3.0);
 }
 
 TEST(SchedulerTest, BatcherNeverMixesModelsOrSessions) {
@@ -308,13 +308,12 @@ TEST(SchedulerTest, WeightedFairHoldsWithBatchingEnabled) {
   const double ratio = static_cast<double>(heavy_done) / light_done;
   EXPECT_NEAR(ratio, 2.0, 0.2) << heavy_done << ":" << light_done;
 
-  const SchedStats stats = scheduler.stats();
-  EXPECT_GE(stats.max_batch_size, 8u);
+  EXPECT_GE(scheduler.counters().max_batch_size.load(), 8u);
 }
 
 /// DeadlineEdf must shed work whose deadline already passed at dispatch time
 /// (not just order by deadline): expired requests come back via the `expired`
-/// out-param, counted in SchedStats.drops, and are never part of a batch.
+/// out-param, counted in counters().drops, and are never part of a batch.
 TEST(SchedulerTest, EdfShedsExpiredRequestsAtDispatch) {
   ManualClock clock;
   SchedulerConfig config;
@@ -342,30 +341,10 @@ TEST(SchedulerTest, EdfShedsExpiredRequestsAtDispatch) {
   EXPECT_EQ(batch.front().deadline, kNoDeadline);
   EXPECT_EQ(expired.size(), 2u);  // nothing new shed
 
-  const SchedStats stats = scheduler.stats();
-  EXPECT_EQ(stats.drops, 2u);
-  EXPECT_EQ(stats.dispatched, 2u);  // shed work never counts as dispatched
+  const SchedulerCounters& counters = scheduler.counters();
+  EXPECT_EQ(counters.drops.Value(), 2u);
+  EXPECT_EQ(counters.dispatched.Value(), 2u);  // shed work never dispatched
   EXPECT_EQ(scheduler.TotalDepth(), 0u);  // accounting balanced either way
-}
-
-TEST(SchedulerTest, QueueWaitPercentilesPerClass) {
-  ManualClock clock;
-  RequestScheduler scheduler(SchedulerConfig{}, &clock);
-  ASSERT_TRUE(scheduler.RegisterFunction("f", {}).ok());
-
-  ASSERT_TRUE(scheduler.Submit(Make("f", "m0", "u0", /*priority=*/0), 0).ok());
-  clock.Advance(1000);
-  ASSERT_TRUE(scheduler.Submit(Make("f", "m0", "u0", /*priority=*/2), 0).ok());
-  clock.Advance(500);
-
-  // P0 popped first after waiting 1500us; P2 after 500us.
-  ASSERT_EQ(scheduler.PopBatch().size(), 1u);
-  ASSERT_EQ(scheduler.PopBatch().size(), 1u);
-  const SchedStats stats = scheduler.stats();
-  EXPECT_EQ(stats.wait[0].count, 1u);
-  EXPECT_EQ(stats.wait[0].p50, 1500);
-  EXPECT_EQ(stats.wait[2].count, 1u);
-  EXPECT_EQ(stats.wait[2].p50, 500);
 }
 
 /// ThreadSanitizer target: many producers, several consumers, two functions
@@ -440,9 +419,9 @@ TEST(SchedulerConcurrencyTest, MultiProducerMultiConsumerStress) {
   EXPECT_EQ(seq_seen_twice.load(), 0u);
   EXPECT_EQ(scheduler.TotalDepth(), 0u);
 
-  const SchedStats stats = scheduler.stats();
-  EXPECT_EQ(stats.dispatched, static_cast<uint64_t>(dispatched.load()));
-  for (const FunctionQueueStats& f : stats.functions) {
+  EXPECT_EQ(scheduler.counters().dispatched.Value(),
+            static_cast<uint64_t>(dispatched.load()));
+  for (const FunctionQueueStats& f : scheduler.PerFunctionStats()) {
     EXPECT_EQ(f.enqueued, f.dispatched) << f.function;
     EXPECT_EQ(f.depth, 0u) << f.function;
   }
@@ -542,7 +521,7 @@ TEST(SchedulerTest, MaskedPopBatchShedsExpiredDeadlines) {
   ASSERT_EQ(expired.size(), 1u);
   EXPECT_EQ(expired[0].deadline, 100);
   EXPECT_EQ(batch[0].deadline, SecondsToMicros(10));
-  EXPECT_EQ(scheduler.stats().drops, 1u);
+  EXPECT_EQ(scheduler.counters().drops.Value(), 1u);
 }
 
 TEST(SchedulerTest, CoalesceKeepsPerClassDepthConsistent) {

@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "client/clients.h"
+#include "fnpacker/router.h"
 #include "model/zoo.h"
+#include "obs/metrics.h"
 #include "serverless/platform.h"
 
 namespace sesemi::serverless {
@@ -98,8 +100,8 @@ TEST_F(ServerlessTest, ColdThenWarmInvocation) {
   ASSERT_TRUE(r2.ok());
   EXPECT_FALSE(cold);  // warm container reused
   EXPECT_EQ(platform_->ContainerCount("predict"), 1);
-  EXPECT_EQ(platform_->stats().cold_starts, 1);
-  EXPECT_EQ(platform_->stats().invocations, 2);
+  EXPECT_EQ(platform_->counters().cold_starts.Value(), 1u);
+  EXPECT_EQ(platform_->counters().invocations.Value(), 2u);
 }
 
 TEST_F(ServerlessTest, UnknownFunctionRejected) {
@@ -292,8 +294,8 @@ TEST_F(ServerlessTest, ConcurrentInvokeAsyncMatchesSerialExecution) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
   // Serial baselines + concurrent burst all counted.
-  EXPECT_EQ(platform_->stats().invocations,
-            static_cast<int>(cases.size()) + kThreads * kPerThread);
+  EXPECT_EQ(platform_->counters().invocations.Value(),
+            static_cast<uint64_t>(cases.size() + kThreads * kPerThread));
   // Warm reuse: at most one container per function beyond what concurrency
   // forced (each fn-a container carries 4 TCS, fn-b carries 2).
   EXPECT_GE(platform_->ContainerCount("fn-a"), 1);
@@ -325,7 +327,7 @@ TEST_F(ServerlessTest, FifoPolicyPreservesSubmissionOrderUnderContention) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(platform_->scheduler_stats().queue_depth,
+  EXPECT_EQ(platform_->queue_depth(),
             static_cast<size_t>(kThreads * kPerThread));
 
   platform_->ResumeDispatch();
@@ -399,10 +401,10 @@ TEST_F(ServerlessTest, BatchedSameModelInvocationsMatchSerial) {
     }
   }
   EXPECT_GT(max_batch_seen, 1) << "coalescer never built a batch";
-  const sched::SchedStats stats = platform_->scheduler_stats();
-  EXPECT_GT(stats.avg_batch_size, 1.0);
-  EXPECT_LE(stats.max_batch_size, 4u);  // respects the configured cap
-  EXPECT_EQ(platform_->stats().invocations, 3 + 12);
+  const sched::SchedulerCounters& counters = platform_->scheduler().counters();
+  EXPECT_GT(counters.avg_batch_size(), 1.0);
+  EXPECT_LE(counters.max_batch_size.load(), 4u);  // respects the configured cap
+  EXPECT_EQ(platform_->counters().invocations.Value(), 3u + 12u);
 }
 
 TEST_F(ServerlessTest, RateLimitedFunctionRejectsTyped) {
@@ -431,7 +433,8 @@ TEST_F(ServerlessTest, RateLimitedFunctionRejectsTyped) {
   EXPECT_TRUE(r2.response.ok());
   EXPECT_TRUE(r3.response.status().IsResourceExhausted())
       << r3.response.status().ToString();
-  EXPECT_EQ(platform_->scheduler_stats().rejected_rate, 1u);
+  EXPECT_EQ(platform_->scheduler().admission_counters().rejected_rate.Value(),
+            1u);
 
   clock_.Advance(SecondsToMicros(1));  // refill 2 tokens
   auto r4 = submit().get();
@@ -491,8 +494,8 @@ TEST_F(ServerlessTest, WeightedFairPolicyServesBacklogByWeight) {
 TEST_F(ServerlessTest, DeadlineEdfShedsExpiredWorkInsteadOfExecuting) {
   // DeadlineEdf used to be ordering-only: a request whose deadline had long
   // passed was still dispatched into the enclave. It must be shed at dispatch
-  // time — a typed DeadlineExceeded on the future, counted in
-  // SchedStats.drops, and *never executed*.
+  // time — a typed DeadlineExceeded on the future, counted in the
+  // scheduler's drops, and *never executed*.
   PlatformConfig config;
   config.num_nodes = 2;
   config.scheduler.policy = sched::PolicyKind::kDeadlineEdf;
@@ -533,8 +536,8 @@ TEST_F(ServerlessTest, DeadlineEdfShedsExpiredWorkInsteadOfExecuting) {
   EXPECT_TRUE(ran.response.ok()) << ran.response.status().ToString();
 
   // The expired request never reached an enclave: exactly one invocation ran.
-  EXPECT_EQ(platform.stats().invocations, 1);
-  EXPECT_EQ(platform.scheduler_stats().drops, 1u);
+  EXPECT_EQ(platform.counters().invocations.Value(), 1u);
+  EXPECT_EQ(platform.scheduler().counters().drops.Value(), 1u);
 }
 
 TEST_F(ServerlessTest, RouterIntegrationFnPackerOverPlatform) {
@@ -557,7 +560,7 @@ TEST_F(ServerlessTest, RouterIntegrationFnPackerOverPlatform) {
   auto result = InvokeOnce(fn);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   router.OnComplete("m0", *endpoint, clock_.Now());
-  EXPECT_EQ(router.stats().routed, 1);
+  EXPECT_EQ(router.counters().routed.Value(), 1u);
 }
 
 TEST_F(ServerlessTest, ShutdownResolvesBacklogWithTypedUnavailable) {
@@ -608,9 +611,9 @@ TEST_F(ServerlessTest, ExecutionDeadlineCutsExpiredRequestBeforeEnclaveEntry) {
   InvocationResult out = doomed.get();
   EXPECT_EQ(out.response.status().code(), StatusCode::kDeadlineExceeded)
       << out.response.status().ToString();
-  EXPECT_EQ(platform_->stats().invocations, 0);  // never reached an enclave
-  EXPECT_EQ(platform_->stats().deadline_cuts, 1u);
-  EXPECT_EQ(platform_->recovery_stats().deadline_cuts, 1u);
+  // Never reached an enclave.
+  EXPECT_EQ(platform_->counters().invocations.Value(), 0u);
+  EXPECT_EQ(platform_->counters().deadline_cuts.Value(), 1u);
 
   // The same rule for a coalesced unit: a paused max_batch = 4 backlog whose
   // deadlines all passed is cut before it acquires a container — no cold
@@ -638,10 +641,63 @@ TEST_F(ServerlessTest, ExecutionDeadlineCutsExpiredRequestBeforeEnclaveEntry) {
     EXPECT_EQ(cut.response.status().code(), StatusCode::kDeadlineExceeded)
         << cut.response.status().ToString();
   }
-  EXPECT_EQ(batched.stats().invocations, 0);
-  EXPECT_EQ(batched.stats().cold_starts, 0);
+  EXPECT_EQ(batched.counters().invocations.Value(), 0u);
+  EXPECT_EQ(batched.counters().cold_starts.Value(), 0u);
   EXPECT_EQ(batched.ContainerCount(), 0);
-  EXPECT_EQ(batched.stats().deadline_cuts, 4u);
+  EXPECT_EQ(batched.counters().deadline_cuts.Value(), 4u);
+}
+
+TEST_F(ServerlessTest, QueueWaitIsStampedPerRequestAndObservedPerClass) {
+  // Queue wait is measured once per request, by the platform: dispatch time
+  // minus enqueue time on the result, observed into the request's class of
+  // sesemi_sched_wait_seconds.
+  obs::MetricsRegistry registry;  // outlives the platform's collector
+  PlatformConfig config;
+  ServerlessPlatform platform(config, &authority_, &storage_, keyservice_.get(),
+                              &clock_);
+  semirt::SemirtOptions options;
+  sgx::Measurement es = semirt::SemirtInstance::MeasurementFor(options);
+  ASSERT_TRUE(owner_->GrantAccess(client_.get(), "m0", es, user_->id()).ok());
+  ASSERT_TRUE(user_->ProvisionRequestKey(client_.get(), "m0", es).ok());
+  FunctionSpec spec;
+  spec.name = "predict";
+  spec.options = options;
+  ASSERT_TRUE(platform.DeployFunction(spec).ok());
+  platform.RegisterMetrics(&registry);
+
+  auto submit = [&](int priority) {
+    auto request =
+        user_->BuildRequest("m0", model::GenerateRandomInput(graph_, 1));
+    EXPECT_TRUE(request.ok());
+    InvokeOptions invoke;
+    invoke.priority = priority;
+    return platform.InvokeAsync("predict", std::move(*request), invoke);
+  };
+  platform.PauseDispatch();
+  auto urgent = submit(/*priority=*/0);
+  clock_.Advance(1000);
+  auto bulk = submit(/*priority=*/2);
+  clock_.Advance(500);
+  platform.ResumeDispatch();
+
+  // Both dispatch at the same (manual) instant.
+  InvocationResult urgent_out = urgent.get();
+  InvocationResult bulk_out = bulk.get();
+  ASSERT_TRUE(urgent_out.response.ok()) << urgent_out.response.status().ToString();
+  ASSERT_TRUE(bulk_out.response.ok()) << bulk_out.response.status().ToString();
+  EXPECT_EQ(urgent_out.queue_wait, 1500);
+  EXPECT_EQ(bulk_out.queue_wait, 500);
+
+  std::map<std::string, double> wait_counts;  // class label -> count
+  for (const obs::Sample& sample : registry.Snapshot()) {
+    if (sample.name != "sesemi_sched_wait_seconds_count") continue;
+    for (const auto& [key, value] : sample.labels) {
+      if (key == "class") wait_counts[value] = sample.value;
+    }
+  }
+  EXPECT_DOUBLE_EQ(wait_counts["0"], 1.0);
+  EXPECT_DOUBLE_EQ(wait_counts["1"], 0.0);
+  EXPECT_DOUBLE_EQ(wait_counts["2"], 1.0);
 }
 
 }  // namespace
