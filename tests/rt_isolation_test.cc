@@ -103,13 +103,14 @@ class RtIsolationTest : public ::testing::Test {
   }
 
   std::future<InvocationResult> Fire(const std::string& fn,
-                                     const std::string& model = "m1") {
+                                     const std::string& model = "m1",
+                                     const InvokeOptions& options = {}) {
     const model::ModelGraph& graph =
         model == "m0" ? heavy_graph_ : light_graph_;
     Bytes input = model::GenerateRandomInput(graph, 1);
     auto request = user_->BuildRequest(model, input);
     EXPECT_TRUE(request.ok());
-    return platform_->InvokeAsync(fn, std::move(*request));
+    return platform_->InvokeAsync(fn, std::move(*request), options);
   }
 
   sgx::AttestationAuthority authority_;
@@ -186,6 +187,31 @@ TEST_F(RtIsolationTest, RtDisabledKeepsSharedPathAndZeroStats) {
   EXPECT_EQ(platform_->rt_executor(), nullptr);
   EXPECT_EQ(platform_->counters().rt_dispatches.Value(), 0u);
   EXPECT_EQ(platform_->counters().rt_fallbacks.Value(), 0u);
+}
+
+/// A per-call priority outside [0, kNumPriorityClasses) is clamped, and a
+/// negative one falls back to the function's default. The tier doorbell the
+/// platform rings must follow the class the request is actually queued in,
+/// or the request would wait for a pump that never pops its class.
+TEST_F(RtIsolationTest, OutOfRangePrioritiesRouteToTheClassTheyQueueIn) {
+  BuildPlatform(/*rt_enabled=*/true);
+  Deploy("rt_fn", /*priority=*/0);
+  Deploy("bulk_fn", /*priority=*/99);
+
+  auto run = [&](const std::string& fn, int priority) {
+    InvocationResult r = Fire(fn, "m1", {.priority = priority}).get();
+    EXPECT_TRUE(r.response.ok()) << r.response.status().ToString();
+    return r.rt_lane;
+  };
+  // -1 inherits rt_fn's class 0; 0 is explicit class 0.
+  EXPECT_GE(run("rt_fn", -1), 0);
+  EXPECT_GE(run("bulk_fn", 0), 0);
+  // 99 clamps to the lowest class; -1 inherits bulk_fn's clamped default.
+  EXPECT_EQ(run("rt_fn", 99), -1);
+  EXPECT_EQ(run("bulk_fn", -1), -1);
+
+  EXPECT_EQ(platform_->counters().rt_dispatches.Value(), 2u);
+  EXPECT_EQ(platform_->queue_depth(), 0u);
 }
 
 TEST_F(RtIsolationTest, PauseParksRtClassesAndResumeDrainsThem) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <set>
@@ -458,6 +459,68 @@ TEST(SchedulerConcurrencyTest, FifoDispatchMatchesAdmissionOrder) {
     }
     first = false;
     last_seq = batch[0].seq;
+  }
+}
+
+/// Both admission caps must hold exactly while many threads submit at once:
+/// the per-function backlog cap (Unavailable) and the global queued budget
+/// (ResourceExhausted). Nothing pops, so every accepted request stays queued.
+TEST(SchedulerConcurrencyTest, AdmissionCapsAreExactUnderConcurrentSubmitters) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 64;
+  constexpr int kTotal = kThreads * kPerThread;
+
+  // Submits kPerThread requests from each of kThreads threads, spreading
+  // them over `functions`; returns {ok, unavailable, resource_exhausted}.
+  auto hammer = [&](RequestScheduler& scheduler,
+                    const std::vector<std::string>& functions) {
+    std::atomic<int> ok{0}, unavailable{0}, exhausted{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          const std::string& fn = functions[(t + i) % functions.size()];
+          const Status s = scheduler.Submit(Make(fn), 0);
+          if (s.ok()) {
+            ok.fetch_add(1);
+          } else if (s.code() == StatusCode::kUnavailable) {
+            unavailable.fetch_add(1);
+          } else if (s.code() == StatusCode::kResourceExhausted) {
+            exhausted.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    return std::array<int, 3>{ok.load(), unavailable.load(), exhausted.load()};
+  };
+
+  {
+    RequestScheduler scheduler(SchedulerConfig{});
+    FunctionSchedParams params;
+    params.max_queue_depth = 50;
+    ASSERT_TRUE(scheduler.RegisterFunction("f", params).ok());
+    const auto [ok, unavailable, exhausted] = hammer(scheduler, {"f"});
+    EXPECT_EQ(ok, 50);
+    EXPECT_EQ(unavailable, kTotal - 50);
+    EXPECT_EQ(exhausted, 0);
+    EXPECT_EQ(scheduler.TotalDepth(), 50u);
+    EXPECT_EQ(scheduler.admission_counters().rejected_depth.Value(),
+              static_cast<uint64_t>(kTotal - 50));
+  }
+  {
+    SchedulerConfig config;
+    config.limits.max_queued = 40;
+    RequestScheduler scheduler(config);
+    ASSERT_TRUE(scheduler.RegisterFunction("a", {}).ok());
+    ASSERT_TRUE(scheduler.RegisterFunction("b", {}).ok());
+    const auto [ok, unavailable, exhausted] = hammer(scheduler, {"a", "b"});
+    EXPECT_EQ(ok, 40);
+    EXPECT_EQ(unavailable, 0);
+    EXPECT_EQ(exhausted, kTotal - 40);
+    EXPECT_EQ(scheduler.TotalDepth(), 40u);
+    EXPECT_EQ(scheduler.admission_counters().rejected_global.Value(),
+              static_cast<uint64_t>(kTotal - 40));
   }
 }
 
