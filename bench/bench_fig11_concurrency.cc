@@ -117,7 +117,6 @@ void LiveConcurrencySection() {
   rig.Authorize(model::Architecture::kMbNet, options);
 
   serverless::PlatformConfig config;
-  config.num_nodes = 1;
   config.max_inflight = 64;
   serverless::ServerlessPlatform platform(config, &rig.authority(),
                                           &rig.storage(), rig.keyservice());

@@ -64,7 +64,6 @@ int main() {
 
   // --- The serverless platform (OpenWhisk stand-in). ---
   serverless::PlatformConfig platform_config;
-  platform_config.num_nodes = 2;
   serverless::ServerlessPlatform cloud(platform_config, &authority, &storage,
                                        keyservice.get());
   serverless::FunctionSpec fn;

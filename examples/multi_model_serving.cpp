@@ -78,7 +78,6 @@ struct RunStats {
 /// platform whose endpoints are functions "ep<i>".
 RunStats Replay(Deployment& dep, fnpacker::RequestRouter* router) {
   serverless::PlatformConfig config;
-  config.num_nodes = 2;
   ManualClock clock;
   serverless::ServerlessPlatform cloud(config, &dep.authority, &dep.storage,
                                        dep.keyservice.get(), &clock);

@@ -30,13 +30,11 @@ ClusterDataplane::ClusterDataplane(const ClusterConfig& config,
   }
   const int initial = std::max(config_.initial_nodes, 1);
   const int total = initial + std::max(config_.standby_nodes, 0);
-  serverless::PlatformConfig node_config = config_.node;
-  node_config.num_nodes = 1;  // one invoker per cluster node
   nodes_.reserve(static_cast<size_t>(total));
   for (int i = 0; i < total; ++i) {
     auto state = std::make_unique<NodeState>(i);
     state->platform = std::make_unique<serverless::ServerlessPlatform>(
-        node_config, authority, storage, keyservice, clock);
+        config_.node, authority, storage, keyservice, clock);
     if (i < initial) {
       state->active.store(true, std::memory_order_release);
       ring_.AddNode(i);

@@ -26,7 +26,7 @@ struct ClusterConfig {
   /// Extra pre-built nodes the autoscaler can activate. Standby nodes get
   /// every DeployFunction so activation is instant (no redeploy).
   int standby_nodes = 0;
-  /// Per-node platform template; num_nodes is forced to 1.
+  /// Per-node platform template: each node is one ServerlessPlatform.
   serverless::PlatformConfig node;
   HashRingConfig ring;
   AutoscaleConfig autoscale;

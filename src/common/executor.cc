@@ -1,7 +1,5 @@
 #include "common/executor.h"
 
-#include "common/parallel_for.h"
-
 namespace sesemi {
 
 namespace {
@@ -15,12 +13,5 @@ ScopedExecTier::ScopedExecTier(ExecTier tier) : saved_(t_exec_tier) {
 }
 
 ScopedExecTier::~ScopedExecTier() { t_exec_tier = saved_; }
-
-bool BulkExecutor::Submit(JobFn fn, void* arg) {
-  group_->Submit([fn, arg] { fn(arg); });
-  return true;
-}
-
-int BulkExecutor::lanes() const { return ParallelismDegree(); }
 
 }  // namespace sesemi

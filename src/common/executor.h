@@ -3,10 +3,8 @@
 
 namespace sesemi {
 
-class TaskGroup;
-
 /// \file
-/// The execution-tier seam (docs/ARCHITECTURE.md "Execution tiers").
+/// Execution tiers (docs/ARCHITECTURE.md "Execution tiers").
 ///
 /// Two tiers share the machine:
 ///
@@ -44,48 +42,6 @@ class ScopedExecTier {
 
  private:
   ExecTier saved_;
-};
-
-/// What the platform's dispatch layer routes onto: something that runs
-/// fire-and-forget jobs. Both tiers implement it, so class-aware dispatch is
-/// "pick an Executor by priority class, Submit a pump job".
-///
-/// Jobs are a plain function pointer + context word (not std::function) so
-/// implementations can promise an allocation-free submit path.
-class Executor {
- public:
-  virtual ~Executor() = default;
-
-  using JobFn = void (*)(void*);
-
-  /// Queue `fn(arg)` for execution. Returns false when the executor cannot
-  /// accept (bounded ring full, shutting down) — the caller falls back to
-  /// another tier. `arg` must stay valid until the job runs.
-  virtual bool Submit(JobFn fn, void* arg) = 0;
-
-  virtual const char* name() const = 0;
-  virtual ExecTier tier() const = 0;
-  /// Worker threads this executor can run jobs on concurrently.
-  virtual int lanes() const = 0;
-};
-
-/// The shared fork-join pool behind the Executor seam: jobs become TaskGroup
-/// tasks, so the owner's existing group remains the join/lifetime handle
-/// (ServerlessPlatform points this at its async_tasks_ group and keeps its
-/// shutdown drain unchanged). Submit never rejects; it may allocate (bulk
-/// jobs tolerate that — the zero-alloc promise belongs to the RT tier).
-class BulkExecutor final : public Executor {
- public:
-  /// `group` must outlive the executor; completed jobs are accounted to it.
-  explicit BulkExecutor(TaskGroup* group) : group_(group) {}
-
-  bool Submit(JobFn fn, void* arg) override;
-  const char* name() const override { return "bulk"; }
-  ExecTier tier() const override { return ExecTier::kBulk; }
-  int lanes() const override;
-
- private:
-  TaskGroup* group_;
 };
 
 }  // namespace sesemi

@@ -77,8 +77,12 @@ struct RtExecutorStats {
   bool elevated = false;      ///< SCHED_FIFO applied on every lane
 };
 
-class RtExecutor final : public Executor {
+class RtExecutor {
  public:
+  /// A job is a plain function pointer + context word (not std::function),
+  /// so Submit can promise an allocation-free handoff.
+  using JobFn = void (*)(void*);
+
   explicit RtExecutor(const RtExecutorConfig& config);
   /// Stops accepting work, lets lanes drain every queued job, joins them.
   ~RtExecutor();
@@ -86,13 +90,14 @@ class RtExecutor final : public Executor {
   RtExecutor(const RtExecutor&) = delete;
   RtExecutor& operator=(const RtExecutor&) = delete;
 
-  /// Lock-free, allocation-free, non-blocking handoff. False when the ring
-  /// is full or the executor is shutting down.
-  bool Submit(JobFn fn, void* arg) override;
+  /// Queue `fn(arg)` on a lane: lock-free, allocation-free, non-blocking.
+  /// False when the ring is full or the executor is shutting down (the
+  /// caller falls back to the bulk tier). `arg` must stay valid until the
+  /// job runs.
+  bool Submit(JobFn fn, void* arg);
 
-  const char* name() const override { return "rt"; }
-  ExecTier tier() const override { return ExecTier::kRealtime; }
-  int lanes() const override { return static_cast<int>(threads_.size()); }
+  /// Lane threads, i.e. jobs that can run concurrently.
+  int lanes() const { return static_cast<int>(threads_.size()); }
 
   RtExecutorStats stats() const;
 

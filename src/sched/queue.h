@@ -16,21 +16,29 @@
 #include "common/clock.h"
 #include "common/result.h"
 #include "obs/trace.h"
+#include "sched/admission.h"
 
 namespace sesemi::sched {
 
 /// \file
-/// Per-function weighted-fair queues — the ordering half of the request
-/// scheduler (src/sched/README: queue + admission + batcher compose into
-/// RequestScheduler, which ServerlessPlatform::InvokeAsync submits into).
+/// Per-function weighted-fair queues — the request scheduler's one record of
+/// each scheduled function. RequestScheduler (sched/scheduler.h) wraps a
+/// FairQueue with a clock and dispatch counters; ServerlessPlatform's
+/// InvokeAsync submits into it and its dispatchers pop from it.
+///
+/// Each function's shard holds everything scheduling knows about it: the
+/// registration params, the token bucket, the per-class deques, the backlog
+/// depth and the WFQ finish tag. A request is looked up by name once, at
+/// Enqueue, which also decides admission and its priority class; the pop
+/// builds the whole dispatch unit from the shard it chose.
 ///
 /// Ordering model: three strict priority classes; within the highest
 /// non-empty class, a pluggable SchedulerPolicy picks which function's queue
 /// to serve next. Enqueue touches only the target function's shard (one
-/// small mutex + atomic depth counters), so concurrent submitters for
-/// different functions never serialize; only the pop path — which must
-/// observe a consistent cross-function view to order fairly — takes the
-/// queue-wide mutex.
+/// small mutex + atomic counters), so concurrent submitters for different
+/// functions never serialize; only the pop path — which must observe a
+/// consistent cross-function view to order fairly — takes the queue-wide
+/// mutex.
 
 /// Which cross-function ordering the queue applies (selectable per platform
 /// config).
@@ -91,7 +99,9 @@ struct QueuedRequest {
   std::string function;
   std::string model_id;
   std::string session_id;  ///< user/session — batches never mix sessions
-  int priority = -1;       ///< -1 = function default; clamped to [0, kNumPriorityClasses)
+  /// -1 = function default; Enqueue clamps it to [0, kNumPriorityClasses)
+  /// and stores the class the request is queued in.
+  int priority = -1;
   TimeMicros deadline = kNoDeadline;  ///< absolute; kNoDeadline = function default
 
   /// Assigned by the queue at enqueue: global arrival sequence (FIFO order)
@@ -178,28 +188,38 @@ struct FunctionQueueStats {
   uint64_t dispatched = 0;  ///< popped for execution, cumulative
 };
 
-/// The multi-function priority queue. See file comment for the concurrency
-/// design; all public methods are thread-safe.
+/// The multi-function priority queue with admission in front of it. See the
+/// file comment for the concurrency design; all public methods are
+/// thread-safe.
 class FairQueue {
  public:
-  explicit FairQueue(PolicyKind kind);
+  explicit FairQueue(PolicyKind kind, const AdmissionLimits& limits = {});
 
   /// Register `function` before any Enqueue for it. Fails on duplicates.
   Status RegisterFunction(const std::string& function,
                           const FunctionSchedParams& params);
 
-  /// Append one request (assigns seq; stamps enqueue_time with `now`;
-  /// applies the function's default priority/deadline when unset). Fails
-  /// NotFound for unregistered functions.
-  Status Enqueue(QueuedRequest request, TimeMicros now);
+  /// Admit and append one request: rate limit, then the function's backlog
+  /// cap, then the global queued/byte budgets (request.payload_bytes), each a
+  /// typed rejection (sched/admission.h). On admission, assigns seq, stamps
+  /// enqueue_time with `now`, applies the function's default priority and
+  /// deadline, and returns the priority class the request was queued in.
+  Result<int> Enqueue(QueuedRequest request, TimeMicros now);
 
-  /// Pop the next request in policy order (assigns dispatch_seq). Returns
-  /// false when every queue is empty.
-  bool PopNext(QueuedRequest* out) { return PopNext(kAllClasses, out); }
-
-  /// Class-restricted pop: same policy order, considering only priority
-  /// classes in `mask`. With kAllClasses this is exactly the unmasked pop.
-  bool PopNext(ClassMask mask, QueuedRequest* out);
+  /// Pop the next dispatch unit in policy order, considering only priority
+  /// classes in `mask`: the head request plus up to max_batch - 1 queued
+  /// companions of the same function with the same model, session and class,
+  /// in arrival order, found within the first 4 x max_batch entries. A batch never mixes models (the enclave holds one
+  /// loaded model) and never mixes sessions (the enclave caches one
+  /// <uid,Moid> key pair). The unit shares one dispatch_seq and is charged
+  /// k/weight of virtual time, so weighted shares hold with batching on.
+  ///
+  /// Under DeadlineEdf, requests whose deadline is already past on `clock`
+  /// are moved to `expired` (non-null) instead; an expired head is replaced
+  /// by the next pick. Returns an empty vector when nothing in `mask` is
+  /// queued.
+  std::vector<QueuedRequest> PopUnit(ClassMask mask, const Clock& clock,
+                                     std::vector<QueuedRequest>* expired);
 
   /// Requests currently queued across all functions (racy snapshot).
   size_t TotalDepth() const { return total_depth_.load(std::memory_order_acquire); }
@@ -208,19 +228,22 @@ class FairQueue {
   /// snapshot; the per-tier dispatcher exit condition).
   size_t DepthInClasses(ClassMask mask) const;
 
-  const SchedulerPolicy& policy() const { return *policy_; }
   PolicyKind policy_kind() const { return kind_; }
 
   std::vector<FunctionQueueStats> PerFunctionStats() const;
 
- private:
-  friend class SameModelBatcher;  ///< coalesces from the popped head's shard
+  const AdmissionCounters& admission_counters() const { return counters_; }
 
+ private:
+  /// The one record of a scheduled function.
   struct FunctionShard {
     std::string name;
     FunctionSchedParams params;
-    mutable std::mutex mutex;
+    std::unique_ptr<TokenBucket> bucket;  ///< null when rate unlimited
+    std::mutex mutex;
     std::deque<QueuedRequest> pending[kNumPriorityClasses];  ///< guarded by mutex
+    /// Queued requests; changed only under `mutex`, so the backlog cap
+    /// checked there is exact.
     std::atomic<size_t> depth{0};
     std::atomic<uint64_t> enqueued{0};
     std::atomic<uint64_t> dispatched{0};
@@ -230,17 +253,14 @@ class FairQueue {
 
   FunctionShard* FindShard(const std::string& function) const;
 
-  /// Batch-fairness accounting: PopNext charged the popped head 1/weight of
-  /// virtual time, so a coalesced batch of size k must charge the remaining
-  /// (k-1)/weight here or the batched function over-serves under
-  /// WeightedFair (each dispatch consumes k requests of service but only one
-  /// request's worth of virtual time). Called by SameModelBatcher after it
-  /// drains the companions; takes pop_mutex_, so callers must not hold any
-  /// shard mutex (lock order is pop_mutex_ -> shard->mutex).
-  void ChargeCoalesced(FunctionShard* shard, size_t extra);
+  /// Policy pick among `shards` with backlog in class `cls`, or null.
+  /// Requires pop_mutex_.
+  FunctionShard* PickLocked(const std::vector<FunctionShard*>& shards,
+                            int cls) const;
 
   PolicyKind kind_;
   std::unique_ptr<SchedulerPolicy> policy_;
+  const AdmissionLimits limits_;
 
   /// Function table: read-mostly (every Enqueue/Pop), written only by
   /// RegisterFunction; shard pointers are heap-stable once inserted, so
@@ -256,11 +276,18 @@ class FairQueue {
   uint64_t next_dispatch_seq_ = 0;   ///< guarded by pop_mutex_
 
   std::atomic<uint64_t> next_seq_{0};
+  /// Queued requests and payload bytes across all functions: the counts the
+  /// global admission limits are checked against. Enqueue claims a slot
+  /// before the push (undone on rejection), the pop releases it after the
+  /// removal, so neither count can go below the true backlog.
   std::atomic<size_t> total_depth_{0};
-  /// Per-class share of total_depth_ (same update points, including the
-  /// batcher's coalesce drain), so tier dispatchers can poll their slice
-  /// without touching any shard.
+  std::atomic<uint64_t> queued_bytes_{0};
+  /// Per-class share of total_depth_, so tier dispatchers can poll their
+  /// slice without touching any shard. Raised inside the shard lock before
+  /// the request becomes poppable, so it never dips below zero.
   std::array<std::atomic<size_t>, kNumPriorityClasses> class_depth_{};
+
+  AdmissionCounters counters_;
 };
 
 }  // namespace sesemi::sched

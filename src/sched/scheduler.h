@@ -4,17 +4,12 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/result.h"
 #include "obs/metrics.h"
-#include "sched/admission.h"
-#include "sched/batcher.h"
 #include "sched/queue.h"
 
 namespace sesemi::sched {
@@ -48,13 +43,15 @@ struct SchedulerCounters {
   }
 };
 
-/// The request scheduler: admission gate -> weighted-fair queues -> policy
-/// pop -> same-model coalescing. Passive — it never runs requests itself;
-/// the platform's dispatcher tasks and RT lanes call PopBatch.
+/// The request scheduler: admission -> weighted-fair queues -> policy pop of
+/// a same-model unit (all in FairQueue), plus the clock and the dispatch
+/// counters. Passive — it never runs requests itself; the platform's
+/// dispatcher tasks and RT lanes call PopBatch.
 ///
 /// \threadsafety All methods safe to call concurrently. Submit contends only
 /// on the target function's shard; PopBatch serializes on the queue's pop
-/// lock (held for the ordering decision only, never across execution).
+/// lock (held for the ordering decision and the unit's removal, never across
+/// execution).
 class RequestScheduler {
  public:
   /// `clock` defaults to a process-lifetime RealClock; tests inject a
@@ -62,12 +59,16 @@ class RequestScheduler {
   explicit RequestScheduler(const SchedulerConfig& config, Clock* clock = nullptr);
 
   Status RegisterFunction(const std::string& function,
-                          const FunctionSchedParams& params);
+                          const FunctionSchedParams& params) {
+    return queue_.RegisterFunction(function, params);
+  }
 
-  /// Admit + enqueue one request. `payload_bytes` feeds the global memory
-  /// backpressure budget. Typed rejections (see sched/admission.h) leave the
-  /// request un-queued; the caller resolves its future with the error.
-  Status Submit(QueuedRequest request, uint64_t payload_bytes);
+  /// Admit + enqueue one request and return the priority class it was
+  /// queued in (the caller routes its dispatch on it). `payload_bytes` feeds
+  /// the global memory backpressure budget. Typed rejections (see
+  /// sched/admission.h) leave the request un-queued; the caller resolves its
+  /// future with the error.
+  Result<int> Submit(QueuedRequest request, uint64_t payload_bytes);
 
   /// Pop the next dispatch unit in policy order: one request, extended with
   /// same-model/same-session companions up to the function's max_batch.
@@ -95,28 +96,20 @@ class RequestScheduler {
     return queue_.DepthInClasses(classes);
   }
   PolicyKind policy_kind() const { return queue_.policy_kind(); }
-  const FunctionSchedParams* function_params(const std::string& function) const;
   std::vector<FunctionQueueStats> PerFunctionStats() const {
     return queue_.PerFunctionStats();
   }
 
   const SchedulerCounters& counters() const { return counters_; }
   const AdmissionCounters& admission_counters() const {
-    return admission_.counters();
+    return queue_.admission_counters();
   }
 
  private:
   FairQueue queue_;
-  AdmissionController admission_;
-  SameModelBatcher batcher_;
 
   std::unique_ptr<Clock> owned_clock_;
   Clock* clock_;
-
-  /// Registration-time params, looked up by the dispatcher for max_batch
-  /// (read-mostly; values are heap-stable once inserted).
-  mutable std::shared_mutex params_mutex_;
-  std::unordered_map<std::string, std::unique_ptr<FunctionSchedParams>> params_;
 
   SchedulerCounters counters_;
 };

@@ -87,13 +87,13 @@ struct ExecDeadline {
 
 /// Cumulative instance statistics.
 struct SemirtStats {
-  int cold_invocations = 0;
-  int warm_invocations = 0;
-  int hot_invocations = 0;
-  int key_fetches = 0;
-  int model_loads = 0;
-  int runtime_inits = 0;
-  int requests = 0;
+  uint64_t cold_invocations = 0;
+  uint64_t warm_invocations = 0;
+  uint64_t hot_invocations = 0;
+  uint64_t key_fetches = 0;
+  uint64_t model_loads = 0;
+  uint64_t runtime_inits = 0;
+  uint64_t requests = 0;
 };
 
 /// One serverless sandbox running the SeMIRT runtime (Figure 6): an enclave

@@ -58,16 +58,13 @@ ServerlessPlatform::ServerlessPlatform(const PlatformConfig& config,
       keyservice_(keyservice),
       owned_clock_(clock == nullptr ? std::make_unique<RealClock>() : nullptr),
       clock_(clock == nullptr ? owned_clock_.get() : clock),
+      sgx_(config.generation, authority),
       relaunch_gate_(config.recovery),
       retry_backoff_(config.recovery.retry.backoff_base_micros,
                      config.recovery.retry.backoff_max_micros,
                      // Distinct stream from the relaunch gate's jitter.
                      config.recovery.backoff_seed ^ 0x9e3779b97f4a7c15ULL),
       scheduler_(WithDefaultLimits(config.scheduler, config), clock_) {
-  nodes_ = std::vector<Node>(config_.num_nodes);
-  for (auto& node : nodes_) {
-    node.platform = std::make_unique<sgx::SgxPlatform>(config_.generation, authority);
-  }
   window_limit_ = WindowLimitFor(config_);
   if (config_.rt.enabled) {
     const int classes =
@@ -198,45 +195,16 @@ uint32_t ServerlessPlatform::AllocSlotRecordLocked(FunctionShard* shard) {
   return index;
 }
 
-bool ServerlessPlatform::TryReserveNodeMemory(int node, uint64_t bytes) {
-  std::atomic<uint64_t>& used = nodes_[node].memory_used;
-  uint64_t current = used.load(std::memory_order_relaxed);
+bool ServerlessPlatform::TryReserveMemory(uint64_t bytes) {
+  uint64_t current = memory_used_.load(std::memory_order_relaxed);
   for (;;) {
     if (current + bytes > config_.invoker_memory_bytes) return false;
-    if (used.compare_exchange_weak(current, current + bytes,
-                                   std::memory_order_acq_rel,
-                                   std::memory_order_relaxed)) {
+    if (memory_used_.compare_exchange_weak(current, current + bytes,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_relaxed)) {
       return true;
     }
   }
-}
-
-int ServerlessPlatform::ChooseAndReserveNode(FunctionShard* shard, uint64_t bytes) {
-  // Co-location preference: try the node that last hosted this function.
-  const int hint = shard->placement_hint.load(std::memory_order_relaxed);
-  if (hint >= 0 && TryReserveNodeMemory(hint, bytes)) return hint;
-
-  // OpenWhisk-style memory-based scheduling: most free memory first. Retry a
-  // few times — a losing CAS means another cold start landed concurrently.
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    int best = -1;
-    uint64_t best_free = 0;
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      const uint64_t used = nodes_[i].memory_used.load(std::memory_order_relaxed);
-      const uint64_t free =
-          config_.invoker_memory_bytes > used ? config_.invoker_memory_bytes - used : 0;
-      if (free >= bytes && free > best_free) {
-        best_free = free;
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) return -1;
-    if (TryReserveNodeMemory(best, bytes)) {
-      shard->placement_hint.store(best, std::memory_order_relaxed);
-      return best;
-    }
-  }
-  return -1;
 }
 
 Result<ServerlessPlatform::Container*> ServerlessPlatform::ColdStart(
@@ -253,18 +221,16 @@ Result<ServerlessPlatform::Container*> ServerlessPlatform::ColdStart(
       return admit;
     }
   }
-  const int node = ChooseAndReserveNode(shard, spec.container_memory_bytes);
-  if (node < 0) {
+  if (!TryReserveMemory(spec.container_memory_bytes)) {
     return Status::ResourceExhausted("no invoker has memory for " + spec.name);
   }
 
   // The expensive part — enclave launch — runs outside every platform lock,
   // so cold starts proceed in parallel with each other and with warm traffic.
-  auto instance = semirt::SemirtInstance::Create(nodes_[node].platform.get(),
-                                                 spec.options, storage_, keyservice_);
+  auto instance = semirt::SemirtInstance::Create(&sgx_, spec.options, storage_,
+                                                 keyservice_);
   if (!instance.ok()) {
-    nodes_[node].memory_used.fetch_sub(spec.container_memory_bytes,
-                                       std::memory_order_acq_rel);
+    memory_used_.fetch_sub(spec.container_memory_bytes, std::memory_order_acq_rel);
     relaunch_gate_.OnLaunchFailure(clock_->Now());
     return instance.status();
   }
@@ -280,7 +246,6 @@ Result<ServerlessPlatform::Container*> ServerlessPlatform::ColdStart(
 
   auto container = std::make_unique<Container>();
   container->function = spec.name;
-  container->node = node;
   container->memory_bytes = spec.container_memory_bytes;
   container->instance = std::move(*instance);
   container->in_flight.store(1, std::memory_order_relaxed);
@@ -298,8 +263,7 @@ Result<ServerlessPlatform::Container*> ServerlessPlatform::ColdStart(
       slots.push_back(index);
     }
     if (slots.empty()) {
-      nodes_[node].memory_used.fetch_sub(spec.container_memory_bytes,
-                                         std::memory_order_acq_rel);
+      memory_used_.fetch_sub(spec.container_memory_bytes, std::memory_order_acq_rel);
       return Status::ResourceExhausted("slot directory exhausted for " + spec.name);
     }
     container->num_tokens = static_cast<uint32_t>(slots.size());
@@ -437,8 +401,7 @@ void ServerlessPlatform::MaybeRetireContainer(FunctionShard* shard,
       container->in_flight.load(std::memory_order_acquire) != 0) {
     return;
   }
-  nodes_[container->node].memory_used.fetch_sub(container->memory_bytes,
-                                                std::memory_order_acq_rel);
+  memory_used_.fetch_sub(container->memory_bytes, std::memory_order_acq_rel);
   shard->containers.erase(it);
 }
 
@@ -482,37 +445,23 @@ std::future<InvocationResult> ServerlessPlatform::InvokeAsync(
   queued.payload = pending;
   const uint64_t payload_bytes = pending->request.encrypted_input.size();
 
-  // Resolve the class before Submit consumes the request: it decides which
-  // tier's doorbell to ring after a successful enqueue.
-  const int effective_class = EffectiveClass(function, options.priority);
-
-  Status admitted = scheduler_.Submit(std::move(queued), payload_bytes);
-  if (!admitted.ok()) {
+  Result<int> queued_class = scheduler_.Submit(std::move(queued), payload_bytes);
+  if (!queued_class.ok()) {
     // Typed rejection (rate limit / backlog full / unknown function): the
     // future resolves immediately — no caller ever parks on a mutex.
     InvocationResult out;
-    out.response = admitted;
+    out.response = queued_class.status();
     pending->promise.set_value(std::move(out));
     return future;
   }
 
-  if (rt_exec_ != nullptr &&
-      (sched::ClassMaskOf(effective_class) & rt_mask_) != 0) {
+  // Ring the doorbell of the tier that pops the class the request queued in.
+  if ((sched::ClassMaskOf(*queued_class) & rt_mask_) != 0) {
     KickRtLane();
   } else {
     MaybeSpawnDispatcher();
   }
   return future;
-}
-
-int ServerlessPlatform::EffectiveClass(const std::string& function,
-                                       int priority) const {
-  if (priority < 0) {
-    const sched::FunctionSchedParams* params =
-        scheduler_.function_params(function);
-    priority = params != nullptr ? params->priority : 1;
-  }
-  return std::clamp(priority, 0, sched::kNumPriorityClasses - 1);
 }
 
 void ServerlessPlatform::RtPumpTrampoline(void* self) {
@@ -842,8 +791,7 @@ int ServerlessPlatform::ReapShard(FunctionShard* shard, TimeMicros now) {
       // idle-reaped.
       if (c->quarantined.load(std::memory_order_acquire) >= c->num_tokens &&
           c->in_flight.load(std::memory_order_acquire) == 0) {
-        nodes_[c->node].memory_used.fetch_sub(c->memory_bytes,
-                                              std::memory_order_acq_rel);
+        memory_used_.fetch_sub(c->memory_bytes, std::memory_order_acq_rel);
         it = shard->containers.erase(it);
       } else {
         ++it;
@@ -856,8 +804,7 @@ int ServerlessPlatform::ReapShard(FunctionShard* shard, TimeMicros now) {
                       c->in_flight.load(std::memory_order_acquire) == 0;
     if (idle && now - c->last_used.load(std::memory_order_relaxed) >=
                     config_.keep_alive) {
-      nodes_[c->node].memory_used.fetch_sub(c->memory_bytes,
-                                            std::memory_order_acq_rel);
+      memory_used_.fetch_sub(c->memory_bytes, std::memory_order_acq_rel);
       // Recycle the slot records (tagged head makes the reuse ABA-safe).
       shard->spare_slots.insert(shard->spare_slots.end(),
                                 token_it->second.begin(), token_it->second.end());

@@ -38,10 +38,11 @@ struct RtTierConfig {
   RtExecutorConfig executor;
 };
 
-/// Platform-level configuration (the OpenWhisk knobs from Table V).
+/// Platform-level configuration: one invoker's OpenWhisk knobs from Table V.
+/// A multi-node deployment is a ClusterDataplane (cluster/cluster.h) of
+/// platforms, one per node.
 struct PlatformConfig {
-  int num_nodes = 1;
-  uint64_t invoker_memory_bytes = 4ull << 30;  ///< per-node sandbox budget
+  uint64_t invoker_memory_bytes = 4ull << 30;  ///< sandbox memory budget
   TimeMicros keep_alive = SecondsToMicros(180);
   sgx::SgxGeneration generation = sgx::SgxGeneration::kSgx2;
   /// Upper bound on concurrently *executing* InvokeAsync dispatches (the
@@ -127,11 +128,13 @@ struct InvokeOptions {
   TimeMicros deadline = sched::kNoDeadline;  ///< absolute, for DeadlineEdf
 };
 
-/// A live, in-process serverless platform: invoker nodes with memory-based
-/// placement, warm-container reuse, keep-alive reclamation, and cold starts
-/// that launch SeMIRT sandboxes. This is the execution substrate the
-/// examples, benchmarks, and integration tests run on; the discrete-event
-/// simulator in src/sim mirrors its policies at cluster scale.
+/// A live, in-process serverless invoker: the request scheduler in front
+/// (sched/, which keeps each function's scheduling record), warm-container
+/// reuse, cold starts that launch SeMIRT sandboxes within one memory budget,
+/// and keep-alive reclamation. This is the execution substrate the examples,
+/// benchmarks, and integration tests run on; ClusterDataplane runs one per
+/// node, and the discrete-event simulator in src/sim mirrors its policies at
+/// cluster scale.
 ///
 /// \par Concurrency design
 /// The invocation hot path is sharded so concurrent requests never serialize
@@ -143,7 +146,7 @@ struct InvokeOptions {
 ///    Treiber stack of TCS slot tokens) — a warm acquisition is one CAS, and
 ///    the LIFO order naturally prefers the most recently used (hottest)
 ///    container;
-///  - per-node memory accounting is a CAS reservation on an atomic counter,
+///  - memory accounting is a CAS reservation on one atomic counter,
 ///    and the expensive SemirtInstance launch runs outside every lock, so
 ///    cold starts of different functions proceed in parallel;
 ///  - a shard mutex serializes only the rare paths: container creation,
@@ -230,8 +233,8 @@ class ServerlessPlatform {
   /// Number of live containers for `function` ("" = all).
   int ContainerCount(const std::string& function = "") const;
 
-  /// Export this platform's counters, its scheduler's and admission
-  /// controller's counters, and the RT lanes into `registry` through one
+  /// Export this platform's counters, its scheduler's dispatch and
+  /// admission counters, and the RT lanes into `registry` through one
   /// scrape-time collector (`sesemi_platform_*`, `sesemi_recovery_*`,
   /// `sesemi_sched_*`, `sesemi_rt_*`), and bind the per-class wait/exec
   /// histograms. The label (e.g. node="2") distinguishes platforms sharing
@@ -240,13 +243,9 @@ class ServerlessPlatform {
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        std::vector<std::pair<std::string, std::string>> labels = {});
 
-  /// The SGX platform backing node `i` (for EPC/attestation inspection).
-  sgx::SgxPlatform* node(int i) { return nodes_.at(i).platform.get(); }
-
  private:
   struct Container {
     std::string function;
-    int node = 0;
     uint64_t memory_bytes = 0;
     std::unique_ptr<semirt::SemirtInstance> instance;
     /// Warm tokens this container contributed (== num_tcs unless the slot
@@ -294,19 +293,10 @@ class ServerlessPlatform {
     /// `mutex`, read lock-free via acquire loads.
     std::array<std::atomic<WarmSlot*>, kMaxChunks> chunks{};
 
-    /// Placement hint: last node that hosted a container for this function
-    /// (approximates the co-location preference without scanning).
-    std::atomic<int> placement_hint{-1};
-
     mutable std::mutex mutex;
     std::vector<std::unique_ptr<Container>> containers;  ///< guarded by mutex
     std::vector<uint32_t> spare_slots;                   ///< guarded by mutex
     uint32_t slot_count = 0;                             ///< guarded by mutex
-  };
-
-  struct Node {
-    std::unique_ptr<sgx::SgxPlatform> platform;
-    std::atomic<uint64_t> memory_used{0};
   };
 
   static uint64_t PackHead(uint32_t tag, uint32_t index) {
@@ -321,8 +311,8 @@ class ServerlessPlatform {
   uint32_t AllocSlotRecordLocked(FunctionShard* shard);  ///< requires shard->mutex
 
   FunctionShard* FindShard(const std::string& function) const;
-  bool TryReserveNodeMemory(int node, uint64_t bytes);
-  int ChooseAndReserveNode(FunctionShard* shard, uint64_t bytes);
+  /// CAS reservation against the invoker memory budget.
+  bool TryReserveMemory(uint64_t bytes);
 
   /// Cold-start a container for `shard`, returning it with one slot token
   /// (index in *slot_index) already held by the caller.
@@ -374,9 +364,7 @@ class ServerlessPlatform {
   void Execute(std::vector<sched::QueuedRequest> unit, int rt_lane);
 
   /// RT-tier routing (no-ops unless config_.rt.enabled):
-  /// the effective priority class a submission will enqueue under.
-  int EffectiveClass(const std::string& function, int priority) const;
-  /// Hand one pump job to the RT lanes; on a full ring, degrade to a
+  /// hand one pump job to the RT lanes; on a full ring, degrade to a
   /// shared-pool task so the request never strands (counted as a fallback).
   void KickRtLane();
   /// One RT dispatch: pop one interactive-class unit and execute it on the
@@ -395,7 +383,9 @@ class ServerlessPlatform {
   std::unique_ptr<Clock> owned_clock_;
   Clock* clock_;
 
-  std::vector<Node> nodes_;
+  /// The invoker: its SGX platform and the sandbox memory charged to it.
+  sgx::SgxPlatform sgx_;
+  std::atomic<uint64_t> memory_used_{0};
 
   /// Function table: read-shared on every invocation, written only by
   /// DeployFunction. Shard pointers are stable once inserted.
@@ -411,8 +401,8 @@ class ServerlessPlatform {
   std::atomic<int> pending_relaunches_{0};  ///< poisonings awaiting a relaunch
   std::atomic<bool> shutting_down_{false};
 
-  /// Request scheduler (admission + fair queues + batcher). Dispatcher tasks
-  /// on the fork-join pool pull from it; their count is bounded by
+  /// Request scheduler (admission + fair queues + unit pop). Dispatcher
+  /// tasks on the fork-join pool pull from it; their count is bounded by
   /// window_limit_ (the in-flight window).
   sched::RequestScheduler scheduler_;
   std::mutex dispatch_mutex_;
@@ -420,7 +410,7 @@ class ServerlessPlatform {
   bool dispatch_paused_ = false;  ///< guarded by dispatch_mutex_
   int window_limit_ = 0;
 
-  /// Execution tiers (common/executor.h). The bulk dispatchers pop with
+  /// Execution tiers (common/rt_executor.h). The bulk dispatchers pop with
   /// bulk_mask_; RT lanes pop with rt_mask_. Tier disabled: rt_mask_ == 0
   /// and bulk_mask_ == kAllClasses, making every path bit-identical to the
   /// single-tier dispatcher.

@@ -53,7 +53,6 @@ class ChaosTest : public ::testing::Test {
     graph_ = *graph;
     ASSERT_TRUE(owner_->DeployModel(client_.get(), &storage_, *graph).ok());
 
-    config_.num_nodes = 2;
     // Tight retry/relaunch backoffs so the soak converges in test time; the
     // policy shape (jittered, bounded, idempotent-only) is what's under test.
     config_.recovery.retry.max_attempts = 3;

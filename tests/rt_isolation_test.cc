@@ -71,7 +71,6 @@ class RtIsolationTest : public ::testing::Test {
   // A real-clock platform (queue_wait and latencies are wall time).
   void BuildPlatform(bool rt_enabled) {
     PlatformConfig config;
-    config.num_nodes = 2;
     if (rt_enabled) {
       config.rt.enabled = true;
       config.rt.classes = 1;  // class 0 = interactive

@@ -24,6 +24,17 @@ QueuedRequest Make(const std::string& function, const std::string& model = "m0",
   return r;
 }
 
+/// Pops one unit from `queue` into *out; the FairQueueTest functions do not
+/// batch, so every unit is one request.
+bool PopOne(FairQueue& queue, QueuedRequest* out) {
+  ManualClock clock;
+  std::vector<QueuedRequest> expired;
+  std::vector<QueuedRequest> unit = queue.PopUnit(kAllClasses, clock, &expired);
+  if (unit.empty()) return false;
+  *out = std::move(unit.front());
+  return true;
+}
+
 TEST(TokenBucketTest, RejectsBeyondBurstThenRefills) {
   TokenBucket bucket(/*rate_per_s=*/10.0, /*burst=*/5.0);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(bucket.TryAcquire(0)) << i;
@@ -45,48 +56,50 @@ TEST(TokenBucketTest, ZeroRateIsUnlimited) {
 }
 
 TEST(AdmissionTest, PerFunctionDepthCapRejectsUnavailable) {
-  AdmissionController admission(AdmissionLimits{});
+  ManualClock clock;
+  RequestScheduler admission(SchedulerConfig{}, &clock);
   FunctionSchedParams params;
   params.max_queue_depth = 2;
   ASSERT_TRUE(admission.RegisterFunction("f", params).ok());
 
-  EXPECT_TRUE(admission.Admit("f", 0, 0).ok());
-  EXPECT_TRUE(admission.Admit("f", 0, 0).ok());
-  Status third = admission.Admit("f", 0, 0);
+  EXPECT_TRUE(admission.Submit(Make("f"), 0).ok());
+  EXPECT_TRUE(admission.Submit(Make("f"), 0).ok());
+  Status third = admission.Submit(Make("f"), 0).status();
   EXPECT_EQ(third.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(admission.counters().rejected_depth.Value(), 1u);
+  EXPECT_EQ(admission.admission_counters().rejected_depth.Value(), 1u);
 
-  admission.OnDequeue("f", 0);
-  EXPECT_TRUE(admission.Admit("f", 0, 0).ok());
+  ASSERT_EQ(admission.PopBatch().size(), 1u);  // releases one backlog slot
+  EXPECT_TRUE(admission.Submit(Make("f"), 0).ok());
 }
 
 TEST(AdmissionTest, GlobalQueueAndByteBudgets) {
-  AdmissionLimits limits;
-  limits.max_queued = 3;
-  AdmissionController admission(limits);
+  ManualClock clock;
+  SchedulerConfig config;
+  config.limits.max_queued = 3;
+  RequestScheduler admission(config, &clock);
   ASSERT_TRUE(admission.RegisterFunction("a", {}).ok());
   ASSERT_TRUE(admission.RegisterFunction("b", {}).ok());
 
-  EXPECT_TRUE(admission.Admit("a", 0, 0).ok());
-  EXPECT_TRUE(admission.Admit("b", 0, 0).ok());
-  EXPECT_TRUE(admission.Admit("a", 0, 0).ok());
-  Status fourth = admission.Admit("b", 0, 0);
+  EXPECT_TRUE(admission.Submit(Make("a"), 0).ok());
+  EXPECT_TRUE(admission.Submit(Make("b"), 0).ok());
+  EXPECT_TRUE(admission.Submit(Make("a"), 0).ok());
+  Status fourth = admission.Submit(Make("b"), 0).status();
   EXPECT_EQ(fourth.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(admission.counters().rejected_global.Value(), 1u);
+  EXPECT_EQ(admission.admission_counters().rejected_global.Value(), 1u);
 
-  AdmissionLimits byte_limits;
-  byte_limits.max_queued_bytes = 1000;
-  AdmissionController bytes(byte_limits);
+  SchedulerConfig byte_config;
+  byte_config.limits.max_queued_bytes = 1000;
+  RequestScheduler bytes(byte_config, &clock);
   ASSERT_TRUE(bytes.RegisterFunction("a", {}).ok());
-  EXPECT_TRUE(bytes.Admit("a", 600, 0).ok());
-  EXPECT_FALSE(bytes.Admit("a", 600, 0).ok());  // 1200 > 1000
-  bytes.OnDequeue("a", 600);
-  EXPECT_TRUE(bytes.Admit("a", 600, 0).ok());
+  EXPECT_TRUE(bytes.Submit(Make("a"), 600).ok());
+  EXPECT_FALSE(bytes.Submit(Make("a"), 600).ok());  // 1200 > 1000
+  ASSERT_EQ(bytes.PopBatch().size(), 1u);  // releases its 600 bytes
+  EXPECT_TRUE(bytes.Submit(Make("a"), 600).ok());
 }
 
 TEST(AdmissionTest, UnknownFunctionIsNotFound) {
-  AdmissionController admission(AdmissionLimits{});
-  EXPECT_TRUE(admission.Admit("ghost", 0, 0).IsNotFound());
+  RequestScheduler admission(SchedulerConfig{});
+  EXPECT_TRUE(admission.Submit(Make("ghost"), 0).status().IsNotFound());
 }
 
 TEST(FairQueueTest, FifoPopsInGlobalArrivalOrder) {
@@ -99,13 +112,13 @@ TEST(FairQueueTest, FifoPopsInGlobalArrivalOrder) {
   uint64_t last_seq = 0;
   for (int i = 0; i < 10; ++i) {
     QueuedRequest r;
-    ASSERT_TRUE(queue.PopNext(&r));
+    ASSERT_TRUE(PopOne(queue, &r));
     if (i > 0) EXPECT_GT(r.seq, last_seq) << "FIFO must follow arrival order";
     EXPECT_EQ(r.dispatch_seq, static_cast<uint64_t>(i));
     last_seq = r.seq;
   }
   QueuedRequest r;
-  EXPECT_FALSE(queue.PopNext(&r));
+  EXPECT_FALSE(PopOne(queue, &r));
 }
 
 TEST(FairQueueTest, WeightedFairRatioUnderSaturation) {
@@ -126,7 +139,7 @@ TEST(FairQueueTest, WeightedFairRatioUnderSaturation) {
   int heavy_count = 0, light_count = 0;
   for (int i = 0; i < 300; ++i) {
     QueuedRequest r;
-    ASSERT_TRUE(queue.PopNext(&r));
+    ASSERT_TRUE(PopOne(queue, &r));
     (r.function == "heavy" ? heavy_count : light_count)++;
   }
   ASSERT_GT(light_count, 0);
@@ -149,7 +162,7 @@ TEST(FairQueueTest, LowWeightFunctionIsNotStarved) {
   bool tiny_served = false;
   for (int i = 0; i < 102 && !tiny_served; ++i) {
     QueuedRequest r;
-    ASSERT_TRUE(queue.PopNext(&r));
+    ASSERT_TRUE(PopOne(queue, &r));
     tiny_served = r.function == "tiny";
   }
   EXPECT_TRUE(tiny_served) << "low-weight function starved";
@@ -167,7 +180,7 @@ TEST(FairQueueTest, EdfPopsEarliestDeadlineFirst) {
   TimeMicros last = 0;
   for (int i = 0; i < 4; ++i) {
     QueuedRequest r;
-    ASSERT_TRUE(queue.PopNext(&r));
+    ASSERT_TRUE(PopOne(queue, &r));
     EXPECT_GE(r.deadline, last);
     last = r.deadline;
   }
@@ -181,7 +194,7 @@ TEST(FairQueueTest, DefaultSlackAssignsDeadlines) {
   ASSERT_TRUE(queue.RegisterFunction("a", params).ok());
   ASSERT_TRUE(queue.Enqueue(Make("a"), 1000).ok());
   QueuedRequest r;
-  ASSERT_TRUE(queue.PopNext(&r));
+  ASSERT_TRUE(PopOne(queue, &r));
   EXPECT_EQ(r.deadline, 3000);
 }
 
@@ -193,11 +206,11 @@ TEST(FairQueueTest, PriorityClassesAreStrict) {
   ASSERT_TRUE(queue.Enqueue(Make("a", "m0", "u0", /*priority=*/0), 2).ok());
 
   QueuedRequest r;
-  ASSERT_TRUE(queue.PopNext(&r));
+  ASSERT_TRUE(PopOne(queue, &r));
   EXPECT_EQ(r.priority, 0);  // latest arrival, highest class, first out
-  ASSERT_TRUE(queue.PopNext(&r));
+  ASSERT_TRUE(PopOne(queue, &r));
   EXPECT_EQ(r.priority, 1);
-  ASSERT_TRUE(queue.PopNext(&r));
+  ASSERT_TRUE(PopOne(queue, &r));
   EXPECT_EQ(r.priority, 2);
 }
 
@@ -212,12 +225,29 @@ TEST(SchedulerTest, RateLimitedSubmitRejectsTyped) {
 
   EXPECT_TRUE(scheduler.Submit(Make("f"), 0).ok());
   EXPECT_TRUE(scheduler.Submit(Make("f"), 0).ok());
-  Status third = scheduler.Submit(Make("f"), 0);
+  Status third = scheduler.Submit(Make("f"), 0).status();
   EXPECT_TRUE(third.IsResourceExhausted());
   EXPECT_EQ(scheduler.admission_counters().rejected_rate.Value(), 1u);
 
   clock.Advance(SecondsToMicros(1));  // 2 tokens back
   EXPECT_TRUE(scheduler.Submit(Make("f"), 0).ok());
+}
+
+/// Submit decides the class once and reports it: the per-call priority, else
+/// the function default, clamped to the valid classes. The platform rings the
+/// tier doorbell from this value.
+TEST(SchedulerTest, SubmitReportsTheClassItQueuedIn) {
+  ManualClock clock;
+  RequestScheduler scheduler(SchedulerConfig{}, &clock);
+  FunctionSchedParams params;
+  params.priority = 99;
+  ASSERT_TRUE(scheduler.RegisterFunction("f", params).ok());
+
+  EXPECT_EQ(*scheduler.Submit(Make("f"), 0), kNumPriorityClasses - 1);
+  EXPECT_EQ(*scheduler.Submit(Make("f", "m0", "u0", /*priority=*/0), 0), 0);
+  EXPECT_EQ(*scheduler.Submit(Make("f", "m0", "u0", /*priority=*/1), 0), 1);
+  EXPECT_EQ(scheduler.DepthInClasses(ClassMaskOf(kNumPriorityClasses - 1)), 1u);
+  EXPECT_EQ(scheduler.DepthInClasses(ClassMaskOf(0)), 1u);
 }
 
 TEST(SchedulerTest, PopBatchCoalescesUpToLimit) {
@@ -480,7 +510,7 @@ TEST(SchedulerConcurrencyTest, AdmissionCapsAreExactUnderConcurrentSubmitters) {
       threads.emplace_back([&, t] {
         for (int i = 0; i < kPerThread; ++i) {
           const std::string& fn = functions[(t + i) % functions.size()];
-          const Status s = scheduler.Submit(Make(fn), 0);
+          const Status s = scheduler.Submit(Make(fn), 0).status();
           if (s.ok()) {
             ok.fetch_add(1);
           } else if (s.code() == StatusCode::kUnavailable) {

@@ -124,10 +124,10 @@ TEST_F(SemirtTest, ColdWarmHotProgression) {
   EXPECT_EQ(t.kind, InvocationKind::kHot);
 
   SemirtStats stats = instance->get()->stats();
-  EXPECT_EQ(stats.cold_invocations, 1);
-  EXPECT_EQ(stats.warm_invocations, 1);
-  EXPECT_EQ(stats.hot_invocations, 2);
-  EXPECT_EQ(stats.requests, 4);
+  EXPECT_EQ(stats.cold_invocations, 1u);
+  EXPECT_EQ(stats.warm_invocations, 1u);
+  EXPECT_EQ(stats.hot_invocations, 2u);
+  EXPECT_EQ(stats.requests, 4u);
 }
 
 TEST_F(SemirtTest, HotPathSkipsKeyFetchAndModelLoad) {
@@ -156,10 +156,10 @@ TEST_F(SemirtTest, SingleMutualAttestationAcrossRequests) {
   ASSERT_TRUE(RunRequest(instance->get(), "m1").ok());
   ASSERT_TRUE(RunRequest(instance->get(), "m0").ok());
   SemirtStats stats = instance->get()->stats();
-  EXPECT_EQ(stats.key_fetches, 3);  // key cache holds one pair
+  EXPECT_EQ(stats.key_fetches, 3u);  // key cache holds one pair
   // but attestation happened exactly once (session reuse):
   // verified indirectly: enclave ecall count only grows by requests.
-  EXPECT_EQ(stats.requests, 3);
+  EXPECT_EQ(stats.requests, 3u);
 }
 
 TEST_F(SemirtTest, UnauthorizedUserCannotExecute) {
@@ -249,7 +249,7 @@ TEST_F(SemirtTest, BatchPipelineFailsOnlyTheBadEntries) {
       << results[2].status().ToString();
   EXPECT_TRUE(results[3].status().IsInvalidArgument())
       << results[3].status().ToString();
-  EXPECT_EQ((*instance)->stats().key_fetches, 1);
+  EXPECT_EQ((*instance)->stats().key_fetches, 1u);
 
   for (size_t i = 0; i < 2; ++i) {
     ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
@@ -341,9 +341,9 @@ TEST_F(SemirtTest, SequentialModeClearsStateEachRequest) {
   // runtime (the model itself may stay loaded).
   EXPECT_EQ(t.kind, InvocationKind::kWarm);
   SemirtStats stats = instance->get()->stats();
-  EXPECT_EQ(stats.key_fetches, 2);
-  EXPECT_EQ(stats.runtime_inits, 2);
-  EXPECT_EQ(stats.hot_invocations, 0);
+  EXPECT_EQ(stats.key_fetches, 2u);
+  EXPECT_EQ(stats.runtime_inits, 2u);
+  EXPECT_EQ(stats.hot_invocations, 0u);
 }
 
 TEST_F(SemirtTest, IsoReuseReloadsModelEveryRequest) {
@@ -356,10 +356,10 @@ TEST_F(SemirtTest, IsoReuseReloadsModelEveryRequest) {
   ASSERT_TRUE(RunRequest(instance->get(), "m0").ok());
   ASSERT_TRUE(RunRequest(instance->get(), "m0").ok());
   SemirtStats stats = instance->get()->stats();
-  EXPECT_EQ(stats.model_loads, 3);    // reload per request
-  EXPECT_EQ(stats.runtime_inits, 3);  // reinit per request
-  EXPECT_EQ(stats.key_fetches, 1);    // keys ARE reused
-  EXPECT_EQ(stats.hot_invocations, 0);
+  EXPECT_EQ(stats.model_loads, 3u);    // reload per request
+  EXPECT_EQ(stats.runtime_inits, 3u);  // reinit per request
+  EXPECT_EQ(stats.key_fetches, 1u);    // keys ARE reused
+  EXPECT_EQ(stats.hot_invocations, 0u);
 }
 
 TEST_F(SemirtTest, NativeModeRelaunchesEnclave) {
@@ -374,8 +374,8 @@ TEST_F(SemirtTest, NativeModeRelaunchesEnclave) {
   ASSERT_TRUE(RunRequest(instance->get(), "m0", &t).ok());
   EXPECT_EQ(t.kind, InvocationKind::kCold);  // every request is cold
   SemirtStats stats = instance->get()->stats();
-  EXPECT_EQ(stats.cold_invocations, 2);
-  EXPECT_EQ(stats.key_fetches, 2);  // fresh enclave implies fresh attestation
+  EXPECT_EQ(stats.cold_invocations, 2u);
+  EXPECT_EQ(stats.key_fetches, 2u);  // fresh enclave implies fresh attestation
 }
 
 TEST_F(SemirtTest, UntrustedModeRunsPlaintext) {
@@ -447,9 +447,9 @@ TEST_F(SemirtTest, ConcurrentRequestsShareModelMemory) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
   SemirtStats stats = instance->get()->stats();
-  EXPECT_EQ(stats.model_loads, 1);       // one shared copy
-  EXPECT_LE(stats.runtime_inits, 4);     // at most one per TCS
-  EXPECT_EQ(stats.requests, 13);
+  EXPECT_EQ(stats.model_loads, 1u);       // one shared copy
+  EXPECT_LE(stats.runtime_inits, 4u);     // at most one per TCS
+  EXPECT_EQ(stats.requests, 13u);
 }
 
 TEST_F(SemirtTest, PeakMemoryScalesSubLinearlyWithConcurrency) {

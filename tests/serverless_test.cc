@@ -48,7 +48,6 @@ class ServerlessTest : public ::testing::Test {
     ASSERT_TRUE(owner_->DeployModel(client_.get(), &storage_, *graph).ok());
 
     PlatformConfig config;
-    config.num_nodes = 2;
     config.keep_alive = SecondsToMicros(180);
     platform_ = std::make_unique<ServerlessPlatform>(config, &authority_, &storage_,
                                                      keyservice_.get(), &clock_);
@@ -139,10 +138,9 @@ TEST_F(ServerlessTest, KeepAliveReapsIdleContainers) {
 TEST_F(ServerlessTest, MemoryExhaustionSurfaces) {
   semirt::SemirtOptions options;
   DeployAndAuthorize("predict", options);
-  // Each container books 256 MB; two nodes of 4 GB fit 32. Fill the cluster
-  // with concurrent holds by issuing invokes from threads? Instead shrink:
+  // Each container books 256 MB, so the default 4 GB invoker fits 16.
+  // Shrink the budget to one container instead of filling it:
   PlatformConfig tiny;
-  tiny.num_nodes = 1;
   tiny.invoker_memory_bytes = 300ull << 20;  // fits one 256 MB container
   ServerlessPlatform small(tiny, &authority_, &storage_, keyservice_.get(), &clock_);
   FunctionSpec spec;
@@ -443,7 +441,6 @@ TEST_F(ServerlessTest, RateLimitedFunctionRejectsTyped) {
 
 TEST_F(ServerlessTest, WeightedFairPolicyServesBacklogByWeight) {
   PlatformConfig config;
-  config.num_nodes = 2;
   config.scheduler.policy = sched::PolicyKind::kWeightedFair;
   config.max_inflight = 1;  // single dispatcher: dispatch order == pop order
   ServerlessPlatform platform(config, &authority_, &storage_, keyservice_.get(),
@@ -497,7 +494,6 @@ TEST_F(ServerlessTest, DeadlineEdfShedsExpiredWorkInsteadOfExecuting) {
   // time — a typed DeadlineExceeded on the future, counted in the
   // scheduler's drops, and *never executed*.
   PlatformConfig config;
-  config.num_nodes = 2;
   config.scheduler.policy = sched::PolicyKind::kDeadlineEdf;
   ServerlessPlatform platform(config, &authority_, &storage_, keyservice_.get(),
                               &clock_);
