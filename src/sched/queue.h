@@ -209,10 +209,11 @@ class FairQueue {
   /// Pop the next dispatch unit in policy order, considering only priority
   /// classes in `mask`: the head request plus up to max_batch - 1 queued
   /// companions of the same function with the same model, session and class,
-  /// in arrival order, found within the first 4 x max_batch entries. A batch never mixes models (the enclave holds one
-  /// loaded model) and never mixes sessions (the enclave caches one
-  /// <uid,Moid> key pair). The unit shares one dispatch_seq and is charged
-  /// k/weight of virtual time, so weighted shares hold with batching on.
+  /// in arrival order, found within the first 4 x max_batch entries. A batch
+  /// never mixes models (the enclave holds one loaded model) and never mixes
+  /// sessions (the enclave caches one <uid,Moid> key pair). The unit shares
+  /// one dispatch_seq and is charged k/weight of virtual time, so weighted
+  /// shares hold with batching on.
   ///
   /// Under DeadlineEdf, requests whose deadline is already past on `clock`
   /// are moved to `expired` (non-null) instead; an expired head is replaced

@@ -363,9 +363,9 @@ class ServerlessPlatform {
   /// results and spans.
   void Execute(std::vector<sched::QueuedRequest> unit, int rt_lane);
 
-  /// RT-tier routing (no-ops unless config_.rt.enabled):
-  /// hand one pump job to the RT lanes; on a full ring, degrade to a
-  /// shared-pool task so the request never strands (counted as a fallback).
+  /// RT-tier routing (called only while config_.rt.enabled): hand one pump
+  /// job to the RT lanes; on a full ring, degrade to a shared-pool task so
+  /// the request never strands (counted as a fallback).
   void KickRtLane();
   /// One RT dispatch: pop one interactive-class unit and execute it on the
   /// calling lane.
