@@ -288,7 +288,7 @@ bool Sha256HardwareAvailable() {
 
 Sha256::Sha256(CryptoBackend backend) {
   if (backend == CryptoBackend::kAuto) backend = ActiveCryptoBackend();
-  hw_ = backend == CryptoBackend::kHardware && Sha256HardwareAvailable();
+  hw_ = backend != CryptoBackend::kPortable && Sha256HardwareAvailable();
   Reset();
 }
 

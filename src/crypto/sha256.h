@@ -27,16 +27,17 @@ bool Sha256HardwareAvailable();
 /// HMAC/HKDF.
 ///
 /// Two compression implementations sit behind the process-wide crypto
-/// dispatch (see CryptoBackend): SHA-NI two-rounds-per-instruction when the
-/// hardware backend is active and the CPU has the SHA extensions, and the
-/// portable FIPS 180-4 rounds otherwise. Both produce identical digests;
-/// SESEMI_FORCE_PORTABLE pins the fallback exactly as it does for AES-GCM.
+/// dispatch (see CryptoBackend): SHA-NI two-rounds-per-instruction when any
+/// hardware backend (AES-NI or VAES) is active and the CPU has the SHA
+/// extensions, and the portable FIPS 180-4 rounds otherwise. Both produce
+/// identical digests; SESEMI_FORCE_PORTABLE pins the fallback exactly as it
+/// does for AES-GCM.
 class Sha256 {
  public:
   Sha256() : Sha256(CryptoBackend::kAuto) { }
   /// Pin a compression backend (tests/benches). kAuto follows
-  /// ActiveCryptoBackend(); kHardware on a CPU without the SHA extensions
-  /// falls back to portable (the digest is the same either way).
+  /// ActiveCryptoBackend(); any hardware tier on a CPU without the SHA
+  /// extensions falls back to portable (the digest is the same either way).
   explicit Sha256(CryptoBackend backend);
 
   /// Restart for a fresh message (keeps the pinned backend).

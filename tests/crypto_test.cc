@@ -141,12 +141,15 @@ TEST(Sha256Test, HardwarePortableParityStreaming) {
 }
 
 TEST(Sha256Test, BackendSelectionFollowsProcessDispatch) {
-  // kAuto must agree with the process-wide decision: hardware only when the
-  // crypto dispatch resolved to hardware AND the CPU has SHA-NI.
+  // kAuto must agree with the process-wide decision: SHA-NI whenever the
+  // crypto dispatch resolved to any hardware tier (AES-NI or VAES) and the
+  // CPU has the SHA extensions; portable rounds under SESEMI_FORCE_PORTABLE.
   Sha256 h;
-  const bool expect_hw = ActiveCryptoBackend() == CryptoBackend::kHardware &&
+  const bool expect_hw = ActiveCryptoBackend() != CryptoBackend::kPortable &&
                          Sha256HardwareAvailable();
   EXPECT_EQ(h.hardware(), expect_hw);
+  EXPECT_EQ(Sha256(CryptoBackend::kHardwareVaes).hardware(),
+            Sha256HardwareAvailable());
   // Pinning portable always sticks; pinning hardware sticks iff available.
   EXPECT_FALSE(Sha256(CryptoBackend::kPortable).hardware());
   EXPECT_EQ(Sha256(CryptoBackend::kHardware).hardware(),
