@@ -122,6 +122,13 @@ bool ByteReader::ReadBytes(size_t n, Bytes* out) {
   return true;
 }
 
+bool ByteReader::ReadInto(void* dst, size_t n) {
+  if (remaining() < n) return false;
+  if (n != 0) std::memcpy(dst, data_.data() + pos_, n);
+  pos_ += n;
+  return true;
+}
+
 bool ByteReader::ReadLengthPrefixed(Bytes* out) {
   uint32_t len = 0;
   size_t saved = pos_;

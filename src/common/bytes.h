@@ -67,6 +67,9 @@ class ByteReader {
   bool ReadUint64(uint64_t* out);
   /// Read exactly `n` raw bytes.
   bool ReadBytes(size_t n, Bytes* out);
+  /// Copy exactly `n` raw bytes into `dst`, a caller-owned buffer of at least
+  /// `n` bytes. Nothing is copied unless `n` bytes remain.
+  bool ReadInto(void* dst, size_t n);
   /// Read a uint32-length-prefixed byte string.
   bool ReadLengthPrefixed(Bytes* out);
   /// Read a uint32-length-prefixed string.

@@ -10,6 +10,12 @@ namespace sesemi::model {
 namespace {
 constexpr char kMagic[4] = {'S', 'S', 'M', 'I'};
 
+constexpr size_t kShapeBytes = 3 * sizeof(uint32_t);
+/// A layer entry with an empty name and no inputs: kind, name length, input
+/// count, kernel/stride/out_channels/units, weight offset/count, shape.
+constexpr size_t kMinLayerEntryBytes =
+    1 + 4 + 4 + 4 * sizeof(uint32_t) + 2 * sizeof(uint64_t) + kShapeBytes;
+
 void WriteShape(ByteWriter* w, const TensorShape& s) {
   w->WriteUint32(static_cast<uint32_t>(s.h));
   w->WriteUint32(static_cast<uint32_t>(s.w));
@@ -23,6 +29,27 @@ bool ReadShape(ByteReader* r, TensorShape* s) {
   s->w = static_cast<int32_t>(w);
   s->c = static_cast<int32_t>(c);
   return true;
+}
+
+/// Exact size of WriteCommonBody's output.
+size_t CommonBodyBytes(const ModelGraph& graph) {
+  size_t bytes = sizeof(kMagic) + sizeof(uint32_t) + 4 + graph.model_id.size() +
+                 4 + graph.architecture.size() + kShapeBytes + sizeof(uint32_t);
+  for (const Layer& layer : graph.layers) {
+    bytes += kMinLayerEntryBytes + layer.name.size() +
+             layer.inputs.size() * sizeof(uint32_t);
+  }
+  return bytes + sizeof(uint64_t) + graph.weights.size() * sizeof(float);
+}
+
+/// Read `count` elements straight into `out`. The count is checked against
+/// the bytes left before `out` is sized, so a forged count can neither
+/// allocate more than the blob carries nor wrap `count * sizeof(T)`.
+template <typename T>
+bool ReadVector(ByteReader* r, uint64_t count, std::vector<T>* out) {
+  if (count > r->remaining() / sizeof(T)) return false;
+  out->resize(count);
+  return r->ReadInto(out->data(), count * sizeof(T));
 }
 
 /// Everything both versions share: magic, version, header, layer table, fp32
@@ -75,10 +102,10 @@ Status OpenBody(ByteSpan wire, ByteReader* r, uint32_t* version) {
   if (!ConstantTimeEqual(digest, trailer)) {
     return Status::Corruption("model integrity digest mismatch");
   }
-
   *r = ByteReader(body);
-  Bytes magic;
-  if (!r->ReadBytes(4, &magic) || std::memcmp(magic.data(), kMagic, 4) != 0) {
+  char magic[sizeof(kMagic)];
+  if (!r->ReadInto(magic, sizeof(magic)) ||
+      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("bad model magic");
   }
   if (!r->ReadUint32(version)) return Status::Corruption("truncated model header");
@@ -97,7 +124,9 @@ Status ParseCommonBody(ByteReader* r, bool expect_more, ModelGraph* graph) {
 
   uint32_t layer_count = 0;
   if (!r->ReadUint32(&layer_count)) return Status::Corruption("truncated layer table");
-  if (layer_count > 1'000'000) return Status::Corruption("absurd layer count");
+  if (layer_count > r->remaining() / kMinLayerEntryBytes) {
+    return Status::Corruption("layer count exceeds the blob");
+  }
   graph->layers.reserve(layer_count);
   for (uint32_t i = 0; i < layer_count; ++i) {
     Layer layer;
@@ -131,16 +160,11 @@ Status ParseCommonBody(ByteReader* r, bool expect_more, ModelGraph* graph) {
 
   uint64_t weight_count = 0;
   if (!r->ReadUint64(&weight_count)) return Status::Corruption("truncated weights");
-  const uint64_t weight_bytes = weight_count * sizeof(float);
-  if (expect_more ? r->remaining() < weight_bytes : r->remaining() != weight_bytes) {
+  // Weights are little-endian IEEE-754, copied once from the blob.
+  if (!ReadVector(r, weight_count, &graph->weights) ||
+      (!expect_more && r->remaining() != 0)) {
     return Status::Corruption("weight blob size mismatch");
   }
-  Bytes raw;
-  if (!r->ReadBytes(weight_bytes, &raw)) {
-    return Status::Corruption("truncated weights");
-  }
-  graph->weights.resize(weight_count);
-  std::memcpy(graph->weights.data(), raw.data(), raw.size());
   return Status::OK();
 }
 
@@ -168,15 +192,10 @@ Status ParseQuantSection(ByteReader* r, const ModelGraph& graph,
     lq.k = static_cast<int32_t>(k);
     lq.n = static_cast<int32_t>(n);
 
-    Bytes scales_raw, weights_raw;
-    if (!r->ReadBytes(static_cast<size_t>(n) * sizeof(float), &scales_raw) ||
-        !r->ReadBytes(static_cast<size_t>(k) * n, &weights_raw)) {
+    if (!ReadVector(r, n, &lq.scales) ||
+        !ReadVector(r, static_cast<uint64_t>(k) * n, &lq.weights)) {
       return Status::Corruption("truncated quant entry");
     }
-    lq.scales.resize(n);
-    std::memcpy(lq.scales.data(), scales_raw.data(), scales_raw.size());
-    lq.weights.resize(static_cast<size_t>(k) * n);
-    std::memcpy(lq.weights.data(), weights_raw.data(), weights_raw.size());
     quant->layers.push_back(std::move(lq));
   }
   if (r->remaining() != 0) return Status::Corruption("trailing bytes after quant section");
@@ -187,12 +206,19 @@ Status ParseQuantSection(ByteReader* r, const ModelGraph& graph,
 
 Bytes SerializeModel(const ModelGraph& graph) {
   ByteWriter w;
+  w.Reserve(CommonBodyBytes(graph) + crypto::kSha256DigestSize);
   WriteCommonBody(&w, graph, kModelFormatVersion);
   return FinishWithDigest(std::move(w));
 }
 
 Bytes SerializeQuantizedModel(const ModelGraph& graph, const ModelQuant& quant) {
+  size_t quant_bytes = sizeof(uint32_t);
+  for (const LayerQuant& lq : quant.layers) {
+    quant_bytes += 3 * sizeof(uint32_t) + lq.scales.size() * sizeof(float) +
+                   lq.weights.size();
+  }
   ByteWriter w;
+  w.Reserve(CommonBodyBytes(graph) + quant_bytes + crypto::kSha256DigestSize);
   WriteCommonBody(&w, graph, kModelFormatVersionInt8);
   w.WriteUint32(static_cast<uint32_t>(quant.layers.size()));
   for (const LayerQuant& lq : quant.layers) {

@@ -195,6 +195,19 @@ TEST(BytesTest, ReaderUnderflowIsSafe) {
   EXPECT_EQ(len, 10u);
 }
 
+TEST(BytesTest, ReadIntoCopiesOnlyWhenTheBytesRemain) {
+  Bytes wire = {1, 2, 3, 4, 5};
+  ByteReader r(wire);
+  uint8_t out[4] = {9, 9, 9, 9};
+  EXPECT_FALSE(r.ReadInto(out, 6));
+  EXPECT_EQ(out[0], 9);  // untouched on underflow
+  EXPECT_EQ(r.remaining(), 5u);
+  ASSERT_TRUE(r.ReadInto(out, 4));
+  EXPECT_EQ(out[3], 4);
+  EXPECT_TRUE(r.ReadInto(nullptr, 0));
+  EXPECT_EQ(r.remaining(), 1u);
+}
+
 TEST(BytesTest, ReaderEmptyInput) {
   ByteReader r(ByteSpan{});
   uint8_t v;

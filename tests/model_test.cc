@@ -1,9 +1,44 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <new>
+
+#include "common/rng.h"
 #include "crypto/key.h"
+#include "crypto/sha256.h"
 #include "model/format.h"
 #include "model/graph.h"
+#include "model/quantize.h"
 #include "model/zoo.h"
+
+// Largest single heap request made on this thread while t_track_allocations
+// is set: the hostile-bytes tests assert that a parse never sizes a buffer
+// from a forged count. Every replaceable non-aligned form is defined so
+// allocation and release always pair (sanitizers check the pairing).
+namespace {
+thread_local bool t_track_allocations = false;
+thread_local size_t t_largest_allocation = 0;
+
+void* TrackedAlloc(size_t n) {
+  if (t_track_allocations && n > t_largest_allocation) t_largest_allocation = n;
+  return std::malloc(n == 0 ? 1 : n);
+}
+}  // namespace
+
+void* operator new(size_t n) {
+  if (void* p = TrackedAlloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](size_t n) { return operator new(n); }
+void* operator new(size_t n, const std::nothrow_t&) noexcept { return TrackedAlloc(n); }
+void* operator new[](size_t n, const std::nothrow_t&) noexcept { return TrackedAlloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace sesemi::model {
 namespace {
@@ -258,6 +293,243 @@ TEST(FormatTest, TamperedCiphertextRejected) {
   Bytes tampered = *sealed;
   tampered[tampered.size() / 2] ^= 1;
   EXPECT_FALSE(DecryptModel(tampered, key, "m").ok());
+}
+
+// ---------------------------------------------------------------- Hostile bytes
+// The body parser must be total: any byte string yields OK or a typed error,
+// never an exception, a crash, or an allocation sized by a forged field.
+
+/// Re-append a fresh SHA-256 trailer so the body parser, not the digest
+/// check, sees a mutated body.
+Bytes WithTrailer(Bytes body) {
+  Append(&body, crypto::Sha256::HashToBytes(body));
+  return body;
+}
+
+/// The body of a serialized model (trailer stripped).
+Bytes BodyOf(const Bytes& wire) {
+  return Bytes(wire.begin(), wire.end() - crypto::kSha256DigestSize);
+}
+
+/// One fixed-width field of a serialized model.
+struct WireField {
+  size_t offset;
+  size_t width;  // 1, 4 or 8 bytes
+};
+
+/// Walk a well-formed v1/v2 body and list its count, length, shape, offset
+/// and kind fields in order: the map the mutator writes boundary values into
+/// and truncates at.
+std::vector<WireField> MapFields(const Bytes& body) {
+  std::vector<WireField> fields;
+  size_t pos = 4;  // magic
+  auto u32 = [&]() -> uint64_t {
+    fields.push_back({pos, 4});
+    pos += 4;
+    return GetUint32BE(body.data() + pos - 4);
+  };
+  auto u64 = [&]() -> uint64_t {
+    fields.push_back({pos, 8});
+    pos += 8;
+    return GetUint64BE(body.data() + pos - 8);
+  };
+  const uint64_t version = u32();
+  pos += u32();  // model id
+  pos += u32();  // architecture
+  for (int i = 0; i < 3; ++i) u32();  // input shape
+  const uint64_t layers = u32();
+  for (uint64_t l = 0; l < layers; ++l) {
+    fields.push_back({pos++, 1});  // kind
+    pos += u32();                  // name
+    const uint64_t inputs = u32();
+    for (uint64_t i = 0; i < inputs; ++i) u32();
+    for (int i = 0; i < 4; ++i) u32();  // kernel, stride, out_channels, units
+    u64();                              // weight offset
+    u64();                              // weight count
+    for (int i = 0; i < 3; ++i) u32();  // output shape
+  }
+  pos += u64() * sizeof(float);  // weight blob
+  if (version == kModelFormatVersionInt8) {
+    const uint64_t entries = u32();
+    for (uint64_t e = 0; e < entries; ++e) {
+      u32();  // layer
+      const uint64_t k = u32();
+      const uint64_t n = u32();
+      pos += n * sizeof(float) + k * n;  // scales, int8 matrix
+    }
+  }
+  EXPECT_EQ(pos, body.size()) << "field map out of step with the format";
+  return fields;
+}
+
+void WriteField(Bytes* body, const WireField& f, uint64_t value) {
+  for (size_t i = 0; i < f.width; ++i) {
+    (*body)[f.offset + i] = static_cast<uint8_t>(value >> (8 * (f.width - 1 - i)));
+  }
+}
+
+constexpr uint64_t kBoundaryValues[] = {
+    0, 1, (1ull << 31) - 1, (1ull << 32) - 1, 1ull << 62, ~0ull};
+
+/// Parses `body` both ways and reports the first broken invariant, or "".
+std::string ParseTotal(const Bytes& body) {
+  const Bytes wire = WithTrailer(body);
+  // A parse of a blob this size may legitimately size buffers up to a small
+  // multiple of it (weights, the layer table); a forged count may not.
+  const size_t budget = 4 * wire.size() + 4096;
+  t_largest_allocation = 0;
+  t_track_allocations = true;
+  std::string broken;
+  try {
+    const Status v1 = ParseModel(wire).status();
+    const Status v2 = ParseQuantizedModel(wire).status();
+    for (const Status& s : {v1, v2}) {
+      if (!s.ok() && !s.IsCorruption() && !s.IsInvalidArgument()) {
+        broken = "untyped status " + s.ToString();
+      }
+    }
+  } catch (const std::exception& e) {
+    broken = std::string("threw ") + e.what();
+  }
+  t_track_allocations = false;
+  if (broken.empty() && t_largest_allocation > budget) {
+    broken = "allocated " + std::to_string(t_largest_allocation) +
+             " bytes for a " + std::to_string(wire.size()) + "-byte blob";
+  }
+  return broken;
+}
+
+/// The seed blobs: v1 mbnet and dsnet, and a v2 (int8) mbnet.
+std::vector<Bytes> SeedBodies() {
+  auto mbnet = BuildModel(SmallSpec(Architecture::kMbNet, "mbnet-0"));
+  auto dsnet = BuildModel(SmallSpec(Architecture::kDsNet, "dsnet-0"));
+  EXPECT_TRUE(mbnet.ok() && dsnet.ok());
+  ModelGraph compacted = *mbnet;
+  const ModelQuant quant = QuantizeModelWeights(compacted);
+  EXPECT_TRUE(CompactQuantizedWeights(&compacted, quant).ok());
+  return {BodyOf(SerializeModel(*mbnet)), BodyOf(SerializeModel(*dsnet)),
+          BodyOf(SerializeQuantizedModel(compacted, quant))};
+}
+
+TEST(HostileModelBytesTest, BoundaryValuesInEveryField) {
+  int mutants = 0, failures = 0;
+  std::string first;
+  for (const Bytes& body : SeedBodies()) {
+    for (const WireField& f : MapFields(body)) {
+      for (uint64_t value : kBoundaryValues) {
+        Bytes mutant = body;
+        WriteField(&mutant, f, value);
+        const std::string broken = ParseTotal(mutant);
+        ++mutants;
+        if (!broken.empty() && failures++ == 0) {
+          first = "field @" + std::to_string(f.offset) + " = " +
+                  std::to_string(value) + ": " + broken;
+        }
+      }
+    }
+  }
+  EXPECT_GT(mutants, 1000);
+  EXPECT_EQ(failures, 0) << first;
+}
+
+TEST(HostileModelBytesTest, TruncationAtEveryFieldBoundary) {
+  int failures = 0;
+  std::string first;
+  for (const Bytes& body : SeedBodies()) {
+    for (const WireField& f : MapFields(body)) {
+      for (size_t cut : {f.offset, f.offset + f.width}) {
+        const std::string broken = ParseTotal(Bytes(body.begin(), body.begin() + cut));
+        if (!broken.empty() && failures++ == 0) {
+          first = "cut @" + std::to_string(cut) + ": " + broken;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(failures, 0) << first;
+}
+
+TEST(HostileModelBytesTest, SeededStructureAwareMutants) {
+  // Each mutant stacks one to three edits: a boundary value into a mapped
+  // field, a random byte flip, or a cut at a field boundary.
+  const std::vector<Bytes> bodies = SeedBodies();
+  std::vector<std::vector<WireField>> maps;
+  for (const Bytes& body : bodies) maps.push_back(MapFields(body));
+  Rng rng(0x5e5e);
+  constexpr int kMutants = 10'000;
+  int failures = 0;
+  std::string first;
+  for (int m = 0; m < kMutants; ++m) {
+    const size_t which = m % bodies.size();
+    const std::vector<WireField>& fields = maps[which];
+    Bytes mutant = bodies[which];
+    const int edits = static_cast<int>(rng.UniformInt(1, 3));
+    for (int e = 0; e < edits && !mutant.empty(); ++e) {
+      const WireField& f = fields[rng.UniformUint64(fields.size())];
+      switch (rng.UniformUint64(3)) {
+        case 0:
+          if (f.offset + f.width <= mutant.size()) {
+            WriteField(&mutant, f, kBoundaryValues[rng.UniformUint64(6)]);
+          }
+          break;
+        case 1:
+          mutant[rng.UniformUint64(mutant.size())] ^=
+              static_cast<uint8_t>(rng.UniformInt(1, 255));
+          break;
+        default:
+          if (f.offset < mutant.size()) mutant.resize(f.offset);
+          break;
+      }
+    }
+    const std::string broken = ParseTotal(mutant);
+    if (!broken.empty() && failures++ == 0) {
+      first = "mutant " + std::to_string(m) + ": " + broken;
+    }
+  }
+  EXPECT_EQ(failures, 0) << first;
+}
+
+/// The weight-blob count: the last 8-byte field (the quant section has none).
+WireField WeightCountField(const Bytes& body) {
+  const std::vector<WireField> fields = MapFields(body);
+  return *std::find_if(fields.rbegin(), fields.rend(),
+                       [](const WireField& f) { return f.width == 8; });
+}
+
+TEST(HostileModelBytesTest, ForgedWeightCountIsCorruption) {
+  // weight_count = 2^62 wraps weight_count * sizeof(float) to 0: the count
+  // must be checked against the bytes left before anything multiplies it.
+  auto graph = BuildModel(SmallSpec(Architecture::kMbNet));
+  ASSERT_TRUE(graph.ok());
+  // v1 cut right after the count, so no blob is left to mismatch against.
+  const Bytes v1 = BodyOf(SerializeModel(*graph));
+  const WireField v1_count = WeightCountField(v1);
+  Bytes cut(v1.begin(), v1.begin() + v1_count.offset + v1_count.width);
+  WriteField(&cut, v1_count, 1ull << 62);
+  EXPECT_EQ(ParseTotal(cut), "");
+  EXPECT_TRUE(ParseModel(WithTrailer(cut)).status().IsCorruption());
+
+  // v2, where a quant section may follow the blob.
+  ModelGraph compacted = *graph;
+  const ModelQuant quant = QuantizeModelWeights(compacted);
+  ASSERT_TRUE(CompactQuantizedWeights(&compacted, quant).ok());
+  Bytes v2 = BodyOf(SerializeQuantizedModel(compacted, quant));
+  WriteField(&v2, WeightCountField(v2), 1ull << 62);
+  EXPECT_EQ(ParseTotal(v2), "");
+  EXPECT_TRUE(ParseQuantizedModel(WithTrailer(v2)).status().IsCorruption());
+}
+
+TEST(HostileModelBytesTest, ForgedLayerCountIsCorruptionWithoutItsAllocation) {
+  // layer_count = 999,999 in a blob of a few dozen bytes: the layer table
+  // reserve is bounded by what the blob could hold, not by the count.
+  auto graph = BuildModel(SmallSpec(Architecture::kMbNet));
+  ASSERT_TRUE(graph.ok());
+  const Bytes body = BodyOf(SerializeModel(*graph));
+  const WireField layer_count = MapFields(body)[6];  // after version, id, arch, shape
+  ASSERT_EQ(GetUint32BE(body.data() + layer_count.offset), graph->layers.size());
+  Bytes shorty(body.begin(), body.begin() + layer_count.offset + 4 + 8);
+  WriteField(&shorty, layer_count, 999'999);
+  EXPECT_EQ(ParseTotal(shorty), "");
+  EXPECT_TRUE(ParseModel(WithTrailer(shorty)).status().IsCorruption());
 }
 
 }  // namespace
