@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "crypto/gcm.h"
-#include "crypto/sha256.h"
 
 namespace sesemi::model {
 
@@ -83,26 +82,8 @@ void WriteCommonBody(ByteWriter* w, const ModelGraph& graph, uint32_t version) {
   w->WriteBytes(ByteSpan(raw, graph.weights.size() * sizeof(float)));
 }
 
-Bytes FinishWithDigest(ByteWriter&& w) {
-  Bytes body = std::move(w).Take();
-  Bytes digest = crypto::Sha256::HashToBytes(body);
-  Append(&body, digest);
-  return body;
-}
-
-/// Digest check + magic + version. On success `*r` is positioned after the
-/// version field and covers only the body (trailer stripped).
-Status OpenBody(ByteSpan wire, ByteReader* r, uint32_t* version) {
-  if (wire.size() < 4 + 4 + crypto::kSha256DigestSize) {
-    return Status::Corruption("model blob too short");
-  }
-  ByteSpan body(wire.data(), wire.size() - crypto::kSha256DigestSize);
-  ByteSpan trailer(wire.data() + body.size(), crypto::kSha256DigestSize);
-  Bytes digest = crypto::Sha256::HashToBytes(body);
-  if (!ConstantTimeEqual(digest, trailer)) {
-    return Status::Corruption("model integrity digest mismatch");
-  }
-  *r = ByteReader(body);
+/// Magic + version. On success `*r` is positioned after the version field.
+Status OpenBody(ByteReader* r, uint32_t* version) {
   char magic[sizeof(kMagic)];
   if (!r->ReadInto(magic, sizeof(magic)) ||
       std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
@@ -206,9 +187,9 @@ Status ParseQuantSection(ByteReader* r, const ModelGraph& graph,
 
 Bytes SerializeModel(const ModelGraph& graph) {
   ByteWriter w;
-  w.Reserve(CommonBodyBytes(graph) + crypto::kSha256DigestSize);
+  w.Reserve(CommonBodyBytes(graph));
   WriteCommonBody(&w, graph, kModelFormatVersion);
-  return FinishWithDigest(std::move(w));
+  return std::move(w).Take();
 }
 
 Bytes SerializeQuantizedModel(const ModelGraph& graph, const ModelQuant& quant) {
@@ -218,7 +199,7 @@ Bytes SerializeQuantizedModel(const ModelGraph& graph, const ModelQuant& quant) 
                    lq.weights.size();
   }
   ByteWriter w;
-  w.Reserve(CommonBodyBytes(graph) + quant_bytes + crypto::kSha256DigestSize);
+  w.Reserve(CommonBodyBytes(graph) + quant_bytes);
   WriteCommonBody(&w, graph, kModelFormatVersionInt8);
   w.WriteUint32(static_cast<uint32_t>(quant.layers.size()));
   for (const LayerQuant& lq : quant.layers) {
@@ -230,13 +211,13 @@ Bytes SerializeQuantizedModel(const ModelGraph& graph, const ModelQuant& quant) 
     w.WriteBytes(ByteSpan(reinterpret_cast<const uint8_t*>(lq.weights.data()),
                           lq.weights.size()));
   }
-  return FinishWithDigest(std::move(w));
+  return std::move(w).Take();
 }
 
 Result<ModelGraph> ParseModel(ByteSpan wire) {
-  ByteReader r{ByteSpan()};
+  ByteReader r(wire);
   uint32_t version = 0;
-  SESEMI_RETURN_IF_ERROR(OpenBody(wire, &r, &version));
+  SESEMI_RETURN_IF_ERROR(OpenBody(&r, &version));
   if (version == kModelFormatVersionInt8) {
     return Status::InvalidArgument(
         "model is int8-quantized (format version 2); use ParseQuantizedModel");
@@ -252,9 +233,9 @@ Result<ModelGraph> ParseModel(ByteSpan wire) {
 }
 
 Result<QuantizedModelFile> ParseQuantizedModel(ByteSpan wire) {
-  ByteReader r{ByteSpan()};
+  ByteReader r(wire);
   uint32_t version = 0;
-  SESEMI_RETURN_IF_ERROR(OpenBody(wire, &r, &version));
+  SESEMI_RETURN_IF_ERROR(OpenBody(&r, &version));
   if (version != kModelFormatVersion && version != kModelFormatVersionInt8) {
     return Status::InvalidArgument("unsupported model format version " +
                                    std::to_string(version));

@@ -20,16 +20,20 @@ constexpr uint32_t kModelFormatVersionInt8 = 2;
 
 /// Serialize a model to the SeSeMI binary format:
 ///   magic "SSMI" | version | header (id, arch, input shape) |
-///   layer table | weight blob | SHA-256 integrity trailer.
-/// The trailer catches accidental corruption; tamper-resistance comes from
-/// AES-GCM when the model is encrypted for upload.
+///   layer table | weight blob.
+/// The layout carries no checksum: integrity comes from the AES-GCM tag of
+/// the sealed model (EncryptModel), which binds every byte to K_M and the
+/// model id before the parser sees it.
 Bytes SerializeModel(const ModelGraph& graph);
 
 /// Parse and validate a serialized model. Rejects bad magic, unsupported
-/// versions, truncated layer tables, weight-blob size mismatches, digest
-/// mismatches, and graphs that fail ModelGraph::Validate(). Version-2
-/// (quantized) models are rejected here — their fp32 blob is compacted, so
-/// callers must go through ParseQuantizedModel to get the int8 weights too.
+/// versions, truncated layer tables, counts larger than the bytes left,
+/// weight-blob size mismatches, and graphs that fail ModelGraph::Validate().
+/// Total over hostile bytes: any input yields a model or a Corruption /
+/// InvalidArgument status, and no buffer is sized by an unchecked count.
+/// Version-2 (quantized) models are rejected here — their fp32 blob is
+/// compacted, so callers must go through ParseQuantizedModel to get the int8
+/// weights too.
 Result<ModelGraph> ParseModel(ByteSpan wire);
 
 /// A parsed model together with its int8 weight section (empty for
@@ -53,8 +57,10 @@ Result<QuantizedModelFile> ParseQuantizedModel(ByteSpan wire);
 /// Layout: nonce || ciphertext || tag (GcmSeal).
 Result<Bytes> EncryptModel(const ModelGraph& graph, ByteSpan model_key);
 
-/// Decrypt + parse an encrypted model. `model_id` must match the AAD used at
-/// encryption time (SeMIRT passes the id from the request).
+/// Decrypt + parse an encrypted model: one AES-GCM open, then one copy from
+/// the plaintext into the weight vector. `model_id` must match the AAD used
+/// at encryption time (SeMIRT passes the id from the request); a wrong key,
+/// id or any flipped byte returns Unauthenticated.
 Result<ModelGraph> DecryptModel(ByteSpan sealed, ByteSpan model_key,
                                 const std::string& model_id);
 

@@ -6,7 +6,7 @@
 
 #include "common/rng.h"
 #include "crypto/key.h"
-#include "crypto/sha256.h"
+#include "crypto/gcm.h"
 #include "model/format.h"
 #include "model/graph.h"
 #include "model/quantize.h"
@@ -222,6 +222,7 @@ TEST(FormatTest, SerializeParseRoundTrip) {
   auto graph = BuildModel(SmallSpec(Architecture::kDsNet, "dsnet-0"));
   ASSERT_TRUE(graph.ok());
   Bytes wire = SerializeModel(*graph);
+  EXPECT_EQ(wire.capacity(), wire.size());  // sized once, written once
   auto parsed = ParseModel(wire);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->model_id, "dsnet-0");
@@ -239,9 +240,18 @@ TEST(FormatTest, CorruptionDetected) {
   ASSERT_TRUE(graph.ok());
   Bytes wire = SerializeModel(*graph);
 
-  Bytes flipped = wire;
-  flipped[wire.size() / 2] ^= 0xff;
-  EXPECT_TRUE(ParseModel(flipped).status().IsCorruption());
+  // Integrity comes from the GCM tag: a byte flipped in the nonce, the
+  // ciphertext body or the tag of a sealed model fails authentication.
+  Bytes key = crypto::GenerateSymmetricKey();
+  auto sealed = EncryptModel(*graph, key);
+  ASSERT_TRUE(sealed.ok());
+  for (size_t at : {crypto::kGcmNonceSize / 2, sealed->size() / 2,
+                    sealed->size() - crypto::kGcmTagSize / 2}) {
+    Bytes flipped = *sealed;
+    flipped[at] ^= 0xff;
+    EXPECT_TRUE(DecryptModel(flipped, key, graph->model_id).status().IsUnauthenticated())
+        << "flipped byte " << at;
+  }
 
   Bytes truncated(wire.begin(), wire.begin() + wire.size() / 2);
   EXPECT_FALSE(ParseModel(truncated).ok());
@@ -292,24 +302,12 @@ TEST(FormatTest, TamperedCiphertextRejected) {
   ASSERT_TRUE(sealed.ok());
   Bytes tampered = *sealed;
   tampered[tampered.size() / 2] ^= 1;
-  EXPECT_FALSE(DecryptModel(tampered, key, "m").ok());
+  EXPECT_TRUE(DecryptModel(tampered, key, "m").status().IsUnauthenticated());
 }
 
 // ---------------------------------------------------------------- Hostile bytes
-// The body parser must be total: any byte string yields OK or a typed error,
+// The model parser must be total: any byte string yields OK or a typed error,
 // never an exception, a crash, or an allocation sized by a forged field.
-
-/// Re-append a fresh SHA-256 trailer so the body parser, not the digest
-/// check, sees a mutated body.
-Bytes WithTrailer(Bytes body) {
-  Append(&body, crypto::Sha256::HashToBytes(body));
-  return body;
-}
-
-/// The body of a serialized model (trailer stripped).
-Bytes BodyOf(const Bytes& wire) {
-  return Bytes(wire.begin(), wire.end() - crypto::kSha256DigestSize);
-}
 
 /// One fixed-width field of a serialized model.
 struct WireField {
@@ -317,21 +315,21 @@ struct WireField {
   size_t width;  // 1, 4 or 8 bytes
 };
 
-/// Walk a well-formed v1/v2 body and list its count, length, shape, offset
+/// Walk a well-formed v1/v2 blob and list its count, length, shape, offset
 /// and kind fields in order: the map the mutator writes boundary values into
 /// and truncates at.
-std::vector<WireField> MapFields(const Bytes& body) {
+std::vector<WireField> MapFields(const Bytes& wire) {
   std::vector<WireField> fields;
   size_t pos = 4;  // magic
   auto u32 = [&]() -> uint64_t {
     fields.push_back({pos, 4});
     pos += 4;
-    return GetUint32BE(body.data() + pos - 4);
+    return GetUint32BE(wire.data() + pos - 4);
   };
   auto u64 = [&]() -> uint64_t {
     fields.push_back({pos, 8});
     pos += 8;
-    return GetUint64BE(body.data() + pos - 8);
+    return GetUint64BE(wire.data() + pos - 8);
   };
   const uint64_t version = u32();
   pos += u32();  // model id
@@ -358,22 +356,21 @@ std::vector<WireField> MapFields(const Bytes& body) {
       pos += n * sizeof(float) + k * n;  // scales, int8 matrix
     }
   }
-  EXPECT_EQ(pos, body.size()) << "field map out of step with the format";
+  EXPECT_EQ(pos, wire.size()) << "field map out of step with the format";
   return fields;
 }
 
-void WriteField(Bytes* body, const WireField& f, uint64_t value) {
+void WriteField(Bytes* wire, const WireField& f, uint64_t value) {
   for (size_t i = 0; i < f.width; ++i) {
-    (*body)[f.offset + i] = static_cast<uint8_t>(value >> (8 * (f.width - 1 - i)));
+    (*wire)[f.offset + i] = static_cast<uint8_t>(value >> (8 * (f.width - 1 - i)));
   }
 }
 
 constexpr uint64_t kBoundaryValues[] = {
     0, 1, (1ull << 31) - 1, (1ull << 32) - 1, 1ull << 62, ~0ull};
 
-/// Parses `body` both ways and reports the first broken invariant, or "".
-std::string ParseTotal(const Bytes& body) {
-  const Bytes wire = WithTrailer(body);
+/// Parses `wire` both ways and reports the first broken invariant, or "".
+std::string ParseTotal(const Bytes& wire) {
   // A parse of a blob this size may legitimately size buffers up to a small
   // multiple of it (weights, the layer table); a forged count may not.
   const size_t budget = 4 * wire.size() + 4096;
@@ -400,24 +397,24 @@ std::string ParseTotal(const Bytes& body) {
 }
 
 /// The seed blobs: v1 mbnet and dsnet, and a v2 (int8) mbnet.
-std::vector<Bytes> SeedBodies() {
+std::vector<Bytes> SeedBlobs() {
   auto mbnet = BuildModel(SmallSpec(Architecture::kMbNet, "mbnet-0"));
   auto dsnet = BuildModel(SmallSpec(Architecture::kDsNet, "dsnet-0"));
   EXPECT_TRUE(mbnet.ok() && dsnet.ok());
   ModelGraph compacted = *mbnet;
   const ModelQuant quant = QuantizeModelWeights(compacted);
   EXPECT_TRUE(CompactQuantizedWeights(&compacted, quant).ok());
-  return {BodyOf(SerializeModel(*mbnet)), BodyOf(SerializeModel(*dsnet)),
-          BodyOf(SerializeQuantizedModel(compacted, quant))};
+  return {SerializeModel(*mbnet), SerializeModel(*dsnet),
+          SerializeQuantizedModel(compacted, quant)};
 }
 
 TEST(HostileModelBytesTest, BoundaryValuesInEveryField) {
   int mutants = 0, failures = 0;
   std::string first;
-  for (const Bytes& body : SeedBodies()) {
-    for (const WireField& f : MapFields(body)) {
+  for (const Bytes& wire : SeedBlobs()) {
+    for (const WireField& f : MapFields(wire)) {
       for (uint64_t value : kBoundaryValues) {
-        Bytes mutant = body;
+        Bytes mutant = wire;
         WriteField(&mutant, f, value);
         const std::string broken = ParseTotal(mutant);
         ++mutants;
@@ -435,10 +432,10 @@ TEST(HostileModelBytesTest, BoundaryValuesInEveryField) {
 TEST(HostileModelBytesTest, TruncationAtEveryFieldBoundary) {
   int failures = 0;
   std::string first;
-  for (const Bytes& body : SeedBodies()) {
-    for (const WireField& f : MapFields(body)) {
+  for (const Bytes& wire : SeedBlobs()) {
+    for (const WireField& f : MapFields(wire)) {
       for (size_t cut : {f.offset, f.offset + f.width}) {
-        const std::string broken = ParseTotal(Bytes(body.begin(), body.begin() + cut));
+        const std::string broken = ParseTotal(Bytes(wire.begin(), wire.begin() + cut));
         if (!broken.empty() && failures++ == 0) {
           first = "cut @" + std::to_string(cut) + ": " + broken;
         }
@@ -451,17 +448,17 @@ TEST(HostileModelBytesTest, TruncationAtEveryFieldBoundary) {
 TEST(HostileModelBytesTest, SeededStructureAwareMutants) {
   // Each mutant stacks one to three edits: a boundary value into a mapped
   // field, a random byte flip, or a cut at a field boundary.
-  const std::vector<Bytes> bodies = SeedBodies();
+  const std::vector<Bytes> blobs = SeedBlobs();
   std::vector<std::vector<WireField>> maps;
-  for (const Bytes& body : bodies) maps.push_back(MapFields(body));
+  for (const Bytes& wire : blobs) maps.push_back(MapFields(wire));
   Rng rng(0x5e5e);
   constexpr int kMutants = 10'000;
   int failures = 0;
   std::string first;
   for (int m = 0; m < kMutants; ++m) {
-    const size_t which = m % bodies.size();
+    const size_t which = m % blobs.size();
     const std::vector<WireField>& fields = maps[which];
-    Bytes mutant = bodies[which];
+    Bytes mutant = blobs[which];
     const int edits = static_cast<int>(rng.UniformInt(1, 3));
     for (int e = 0; e < edits && !mutant.empty(); ++e) {
       const WireField& f = fields[rng.UniformUint64(fields.size())];
@@ -489,8 +486,8 @@ TEST(HostileModelBytesTest, SeededStructureAwareMutants) {
 }
 
 /// The weight-blob count: the last 8-byte field (the quant section has none).
-WireField WeightCountField(const Bytes& body) {
-  const std::vector<WireField> fields = MapFields(body);
+WireField WeightCountField(const Bytes& wire) {
+  const std::vector<WireField> fields = MapFields(wire);
   return *std::find_if(fields.rbegin(), fields.rend(),
                        [](const WireField& f) { return f.width == 8; });
 }
@@ -501,21 +498,21 @@ TEST(HostileModelBytesTest, ForgedWeightCountIsCorruption) {
   auto graph = BuildModel(SmallSpec(Architecture::kMbNet));
   ASSERT_TRUE(graph.ok());
   // v1 cut right after the count, so no blob is left to mismatch against.
-  const Bytes v1 = BodyOf(SerializeModel(*graph));
+  const Bytes v1 = SerializeModel(*graph);
   const WireField v1_count = WeightCountField(v1);
   Bytes cut(v1.begin(), v1.begin() + v1_count.offset + v1_count.width);
   WriteField(&cut, v1_count, 1ull << 62);
   EXPECT_EQ(ParseTotal(cut), "");
-  EXPECT_TRUE(ParseModel(WithTrailer(cut)).status().IsCorruption());
+  EXPECT_TRUE(ParseModel(cut).status().IsCorruption());
 
   // v2, where a quant section may follow the blob.
   ModelGraph compacted = *graph;
   const ModelQuant quant = QuantizeModelWeights(compacted);
   ASSERT_TRUE(CompactQuantizedWeights(&compacted, quant).ok());
-  Bytes v2 = BodyOf(SerializeQuantizedModel(compacted, quant));
+  Bytes v2 = SerializeQuantizedModel(compacted, quant);
   WriteField(&v2, WeightCountField(v2), 1ull << 62);
   EXPECT_EQ(ParseTotal(v2), "");
-  EXPECT_TRUE(ParseQuantizedModel(WithTrailer(v2)).status().IsCorruption());
+  EXPECT_TRUE(ParseQuantizedModel(v2).status().IsCorruption());
 }
 
 TEST(HostileModelBytesTest, ForgedLayerCountIsCorruptionWithoutItsAllocation) {
@@ -523,13 +520,13 @@ TEST(HostileModelBytesTest, ForgedLayerCountIsCorruptionWithoutItsAllocation) {
   // reserve is bounded by what the blob could hold, not by the count.
   auto graph = BuildModel(SmallSpec(Architecture::kMbNet));
   ASSERT_TRUE(graph.ok());
-  const Bytes body = BodyOf(SerializeModel(*graph));
-  const WireField layer_count = MapFields(body)[6];  // after version, id, arch, shape
-  ASSERT_EQ(GetUint32BE(body.data() + layer_count.offset), graph->layers.size());
-  Bytes shorty(body.begin(), body.begin() + layer_count.offset + 4 + 8);
+  const Bytes wire = SerializeModel(*graph);
+  const WireField layer_count = MapFields(wire)[6];  // after version, id, arch, shape
+  ASSERT_EQ(GetUint32BE(wire.data() + layer_count.offset), graph->layers.size());
+  Bytes shorty(wire.begin(), wire.begin() + layer_count.offset + 4 + 8);
   WriteField(&shorty, layer_count, 999'999);
   EXPECT_EQ(ParseTotal(shorty), "");
-  EXPECT_TRUE(ParseModel(WithTrailer(shorty)).status().IsCorruption());
+  EXPECT_TRUE(ParseModel(shorty).status().IsCorruption());
 }
 
 }  // namespace

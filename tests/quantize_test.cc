@@ -9,6 +9,8 @@
 #include <cstring>
 #include <vector>
 
+#include "crypto/gcm.h"
+#include "crypto/key.h"
 #include "inference/compiled_model.h"
 #include "inference/framework.h"
 #include "inference/gemm.h"
@@ -360,6 +362,7 @@ TEST(QuantizedFormatTest, Version2RoundTripsBitwise) {
 
   const Bytes wire = model::SerializeQuantizedModel(compacted, quant);
   const Bytes fp32_wire = model::SerializeModel(*graph);
+  EXPECT_EQ(wire.capacity(), wire.size());  // sized once, written once
   // The quantized file carries the matrices once, as int8: much smaller.
   EXPECT_LT(wire.size(), fp32_wire.size() / 2);
 
@@ -384,10 +387,17 @@ TEST(QuantizedFormatTest, Version2RoundTripsBitwise) {
   EXPECT_TRUE(v1->quant.empty());
   EXPECT_EQ(v1->graph.weights, graph->weights);
 
-  // Corruption anywhere in the body trips the digest.
-  Bytes tampered = wire;
+  // Sealed under the model id, a flipped byte fails the GCM tag.
+  const Bytes key = crypto::GenerateSymmetricKey();
+  const Bytes aad = ToBytes(compacted.model_id);
+  auto sealed = crypto::GcmSeal(key, aad, wire);
+  ASSERT_TRUE(sealed.ok());
+  auto opened = crypto::GcmOpen(key, aad, *sealed);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened, wire);
+  Bytes tampered = *sealed;
   tampered[tampered.size() / 2] ^= 0x01;
-  EXPECT_FALSE(model::ParseQuantizedModel(tampered).ok());
+  EXPECT_TRUE(crypto::GcmOpen(key, aad, tampered).status().IsUnauthenticated());
 }
 
 // --------------------------------------------------------------- end to end
