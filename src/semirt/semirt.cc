@@ -311,15 +311,33 @@ Result<std::shared_ptr<inference::LoadedModel>> SemirtInstance::EnsureModel(
   if (!charge.ok()) return charge;
 
   std::lock_guard<std::mutex> lock(mutex_);
-  // Model switch invalidates every thread's runtime for the old model (done
-  // lazily in EnsureRuntime); free the old model's charge now.
-  if (loaded_model_ != nullptr) FreeHeap(model_charged_bytes_);
-  loaded_model_ = std::move(*wrapped);
-  loaded_model_id_ = model_id;
-  model_charged_bytes_ = model_bytes;
-  stats_.model_loads++;
+  InstallModelLocked(std::move(*wrapped), model_id, model_bytes);
   *loaded = true;
   return loaded_model_;
+}
+
+void SemirtInstance::InstallModelLocked(
+    std::shared_ptr<inference::LoadedModel> model, const std::string& model_id,
+    uint64_t charged_bytes) {
+  if (loaded_model_ != nullptr) FreeHeap(model_charged_bytes_);
+  loaded_model_ = std::move(model);
+  loaded_model_id_ = model_id;
+  model_charged_bytes_ = charged_bytes;
+  stats_.model_loads++;
+  // A switch releases the old model for real: every idle slot's runtime for
+  // another model (its arena, and the reference that pins that model) goes
+  // with the old model's charge. A held slot keeps its runtime until its own
+  // EnsureRuntime; a slot taken after the read below reaches EnsureRuntime
+  // only under mutex_, so nothing executes on a dropped runtime.
+  const uint64_t free_bits =
+      use_slot_bitmap_ ? free_slot_bits_.load(std::memory_order_seq_cst) : 0;
+  std::unique_lock<std::mutex> slots(slot_mutex_, std::defer_lock);
+  if (!use_slot_bitmap_) slots.lock();
+  for (size_t i = 0; i < contexts_.size(); ++i) {
+    ThreadContext& ctx = contexts_[i];
+    const bool idle = use_slot_bitmap_ ? ((free_bits >> i) & 1) != 0 : !ctx.busy;
+    if (idle && ctx.model_id != model_id) DropRuntimeLocked(&ctx);
+  }
 }
 
 Status SemirtInstance::EnsureRuntime(
@@ -552,11 +570,7 @@ Result<Bytes> SemirtInstance::HandleUntrusted(const InferenceRequest& request,
     uint64_t bytes = model->memory_bytes();
     SESEMI_RETURN_IF_ERROR(ChargeHeap(bytes));
     std::lock_guard<std::mutex> lock(mutex_);
-    if (loaded_model_ != nullptr) FreeHeap(model_charged_bytes_);
-    loaded_model_ = model;
-    loaded_model_id_ = request.model_id;
-    model_charged_bytes_ = bytes;
-    stats_.model_loads++;
+    InstallModelLocked(model, request.model_id, bytes);
     model_loaded = true;
   }
   timings->model_load = NowMicros() - mark;

@@ -109,8 +109,15 @@ struct SemirtStats {
 ///    waiting uses a condition variable either way.
 ///  - A thread holding a slot has exclusive use of that slot's ThreadContext
 ///    (its model runtime and activation buffers); the instance mutex guards
-///    only the shared state — loaded-model cache, key cache, statistics —
-///    and is never held across model execution or KeyService round trips.
+///    the shared state — loaded-model cache, key cache, statistics — and the
+///    contexts of idle slots, and is never held across model execution or
+///    KeyService round trips.
+///  - A model switch drops, under the instance mutex, the runtime of every
+///    idle slot built for another model, so the old model and its arenas are
+///    released with its heap charge. A held slot keeps its runtime until its
+///    own EnsureRuntime. A slot taken after the switch read the free-slot
+///    bits reaches EnsureRuntime only under the instance mutex, so nothing
+///    executes on a dropped runtime.
 ///  - Concurrent EnsureKeys / EnsureModel for the same (user, model) may
 ///    both do the fetch/load; the second write wins and the duplicate work
 ///    is benign (both produce identical state).
@@ -236,6 +243,11 @@ class SemirtInstance {
   /// MODEL_LOAD). Sets *loaded if a load happened.
   Result<std::shared_ptr<inference::LoadedModel>> EnsureModel(
       const std::string& model_id, ByteSpan model_key, bool* loaded);
+
+  /// Make `model` the loaded model, moving the heap charge to it and dropping
+  /// every idle slot's runtime for another model. Requires mutex_.
+  void InstallModelLocked(std::shared_ptr<inference::LoadedModel> model,
+                          const std::string& model_id, uint64_t charged_bytes);
 
   /// Ensure slot's runtime targets `model_id`. Sets *inited on RUNTIME_INIT.
   Status EnsureRuntime(int slot, const std::string& model_id,

@@ -3,7 +3,9 @@
 #include <thread>
 
 #include "client/clients.h"
+#include "common/faultpoint.h"
 #include "inference/compiled_model.h"
+#include "inference/framework.h"
 #include "keyservice/keyservice.h"
 #include "model/format.h"
 #include "model/zoo.h"
@@ -517,6 +519,45 @@ TEST_F(SemirtTest, PackedWeightsChargedAgainstEnclaveHeap) {
   ASSERT_TRUE(RunRequest(ok_instance->get(), "m0", nullptr, 1, &es).ok());
   // The heap peak reflects the packed buffers, not just the flat weights.
   EXPECT_GE((*ok_instance)->heap_peak(), weight_bytes + packed_bytes);
+}
+
+TEST_F(SemirtTest, ModelSwitchReleasesIdleSlotRuntimes) {
+  // The runtimes idle slots built for the old model (each pinning it and
+  // holding an arena) must go with the old model's heap charge.
+  SemirtOptions options;
+  options.num_tcs = 4;
+  Authorize("m0", options);
+  Authorize("m1", options);
+  auto instance = MakeInstance(options);
+  ASSERT_TRUE(instance.ok());
+  {
+    // A latency-only stall at ecall entry, taken with the slot held, so four
+    // concurrent m0 requests each build a runtime on a distinct slot.
+    FaultConfig stall;
+    stall.latency_micros = 200'000;
+    stall.error_code = StatusCode::kOk;
+    ScopedFault fault(faults::kEcallEnter, stall);
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 4; ++i) {
+      threads.emplace_back([&, i] {
+        if (!RunRequest(instance->get(), "m0", nullptr, i).ok()) failures.fetch_add(1);
+      });
+    }
+    for (auto& t : threads) t.join();
+    ASSERT_EQ(failures.load(), 0);
+  }
+  ASSERT_TRUE(RunRequest(instance->get(), "m1").ok());
+
+  // What the enclave should hold now: m1 and one m1 runtime.
+  auto framework = inference::CreateFramework(
+      options.framework, inference::FrameworkOptions{.quantize = options.quantize});
+  auto m1 = framework->WrapModel(graphs_["m1"]);
+  ASSERT_TRUE(m1.ok());
+  auto runtime = framework->CreateRuntime(*m1);
+  ASSERT_TRUE(runtime.ok());
+  EXPECT_EQ((*instance)->enclave()->heap_used(),
+            (*m1)->memory_bytes() + (*runtime)->buffer_bytes());
 }
 
 TEST_F(SemirtTest, ClearExecutionContextFreesHeap) {
