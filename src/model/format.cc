@@ -12,8 +12,9 @@ constexpr char kMagic[4] = {'S', 'S', 'M', 'I'};
 constexpr size_t kShapeBytes = 3 * sizeof(uint32_t);
 /// A layer entry with an empty name and no inputs: kind, name length, input
 /// count, kernel/stride/out_channels/units, weight offset/count, shape.
-constexpr size_t kMinLayerEntryBytes =
-    1 + 4 + 4 + 4 * sizeof(uint32_t) + 2 * sizeof(uint64_t) + kShapeBytes;
+constexpr size_t kMinLayerEntryBytes = sizeof(uint8_t) + 2 * sizeof(uint32_t) +
+                                       4 * sizeof(uint32_t) +
+                                       2 * sizeof(uint64_t) + kShapeBytes;
 
 void WriteShape(ByteWriter* w, const TensorShape& s) {
   w->WriteUint32(static_cast<uint32_t>(s.h));
@@ -32,8 +33,11 @@ bool ReadShape(ByteReader* r, TensorShape* s) {
 
 /// Exact size of WriteCommonBody's output.
 size_t CommonBodyBytes(const ModelGraph& graph) {
-  size_t bytes = sizeof(kMagic) + sizeof(uint32_t) + 4 + graph.model_id.size() +
-                 4 + graph.architecture.size() + kShapeBytes + sizeof(uint32_t);
+  // Magic, version, id, architecture, input shape, layer count.
+  size_t bytes = sizeof(kMagic) + sizeof(uint32_t) +
+                 sizeof(uint32_t) + graph.model_id.size() +
+                 sizeof(uint32_t) + graph.architecture.size() + kShapeBytes +
+                 sizeof(uint32_t);
   for (const Layer& layer : graph.layers) {
     bytes += kMinLayerEntryBytes + layer.name.size() +
              layer.inputs.size() * sizeof(uint32_t);

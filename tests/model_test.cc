@@ -5,8 +5,8 @@
 #include <new>
 
 #include "common/rng.h"
-#include "crypto/key.h"
 #include "crypto/gcm.h"
+#include "crypto/key.h"
 #include "model/format.h"
 #include "model/graph.h"
 #include "model/quantize.h"
@@ -382,7 +382,7 @@ std::string ParseTotal(const Bytes& wire) {
     const Status v2 = ParseQuantizedModel(wire).status();
     for (const Status& s : {v1, v2}) {
       if (!s.ok() && !s.IsCorruption() && !s.IsInvalidArgument()) {
-        broken = "untyped status " + s.ToString();
+        broken = "unexpected status " + s.ToString();
       }
     }
   } catch (const std::exception& e) {
