@@ -240,18 +240,27 @@ TEST(FormatTest, CorruptionDetected) {
   ASSERT_TRUE(graph.ok());
   Bytes wire = SerializeModel(*graph);
 
-  // Integrity comes from the GCM tag: a byte flipped in the nonce, the
-  // ciphertext body or the tag of a sealed model fails authentication.
+  // Integrity comes from the GCM tag: a byte flipped anywhere in a sealed
+  // model (every nonce and tag byte, a stride through the ciphertext body)
+  // fails authentication.
   Bytes key = crypto::GenerateSymmetricKey();
   auto sealed = EncryptModel(*graph, key);
   ASSERT_TRUE(sealed.ok());
-  for (size_t at : {crypto::kGcmNonceSize / 2, sealed->size() / 2,
-                    sealed->size() - crypto::kGcmTagSize / 2}) {
+  const size_t tag_at = sealed->size() - crypto::kGcmTagSize;
+  std::vector<size_t> flips;
+  for (size_t at = 0; at < crypto::kGcmNonceSize; ++at) flips.push_back(at);
+  for (size_t at = crypto::kGcmNonceSize; at < tag_at; at += 61) flips.push_back(at);
+  for (size_t at = tag_at; at < sealed->size(); ++at) flips.push_back(at);
+  int accepted = 0;
+  for (size_t at : flips) {
     Bytes flipped = *sealed;
     flipped[at] ^= 0xff;
-    EXPECT_TRUE(DecryptModel(flipped, key, graph->model_id).status().IsUnauthenticated())
-        << "flipped byte " << at;
+    const Status s = DecryptModel(flipped, key, graph->model_id).status();
+    if (!s.IsUnauthenticated() && accepted++ == 0) {
+      ADD_FAILURE() << "flipped byte " << at << ": " << s.ToString();
+    }
   }
+  EXPECT_EQ(accepted, 0) << "of " << flips.size() << " flipped bytes";
 
   Bytes truncated(wire.begin(), wire.begin() + wire.size() / 2);
   EXPECT_FALSE(ParseModel(truncated).ok());
