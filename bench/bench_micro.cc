@@ -11,9 +11,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cmath>
+#include <string>
+#include <thread>
 
 #include "bench/bench_common.h"
+#include "common/executor.h"
+#include "common/parallel_for.h"
 #include "crypto/gcm.h"
 #include "crypto/key.h"
 #include "crypto/sha256.h"
@@ -221,7 +226,11 @@ void BM_Conv2d(benchmark::State& state) {
   state.counters["FLOPS"] = benchmark::Counter(
       s.flops * static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Conv2d)->Args({32, 64, 64})->Args({16, 32, 64})->Args({64, 16, 16});
+// {32, 8, 8}, {16, 12, 12} and {32, 32, 8} are cold_churn's rsnet/dsnet
+// layers: fewer than 16 output channels, so every column is ragged edge.
+BENCHMARK(BM_Conv2d)
+    ->Args({32, 64, 64})->Args({16, 32, 64})->Args({64, 16, 16})
+    ->Args({32, 8, 8})->Args({16, 12, 12})->Args({32, 32, 8});
 
 void BM_Conv2dNaive(benchmark::State& state) {
   ConvSetup s(static_cast<int>(state.range(0)), static_cast<int>(state.range(1)),
@@ -257,7 +266,49 @@ void BM_Conv2dPrepacked(benchmark::State& state) {
   state.counters["FLOPS"] = benchmark::Counter(
       s.flops * static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Conv2dPrepacked)->Args({32, 64, 64})->Args({16, 32, 64})->Args({64, 16, 16});
+BENCHMARK(BM_Conv2dPrepacked)
+    ->Args({32, 64, 64})->Args({16, 32, 64})->Args({64, 16, 16})
+    ->Args({32, 8, 8})->Args({16, 12, 12})->Args({32, 32, 8});
+
+// Pooled-vs-inline twins behind the GEMM fan-out floor
+// (kParallelFlopThreshold in inference/gemm.cc): the same 24-row panels of an
+// rsnet-shaped prepacked GEMM (K = 72, N = 8, M = range(0)), spread over the
+// pool (range(1) = 1) or run on the calling thread (0: an RT-tier thread,
+// whose ParallelFor never fans out). With range(2) = 200 each iteration
+// follows 200 us of idle pool, as a request does between arrivals, so the
+// pooled twin pays the workers' wake-up; with 0 the workers are still warm
+// from the previous iteration. The floor belongs where pooled starts to win.
+void BM_GemmFanOut(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const bool pooled = state.range(1) != 0;
+  const auto idle = std::chrono::microseconds(state.range(2));
+  constexpr int k = 72, n = 8;
+  std::vector<float> a = BenchVec(static_cast<size_t>(m) * k);
+  std::vector<float> b = BenchVec(static_cast<size_t>(k) * n);
+  std::vector<float> bias = BenchVec(n);
+  std::vector<float> c(static_cast<size_t>(m) * n);
+  std::vector<float> packed(inference::gemm::PackedBElements(k, n));
+  inference::gemm::PackB(b.data(), k, n, packed.data());
+  ScopedExecTier tier(pooled ? ExecTier::kBulk : ExecTier::kRealtime);
+  for (auto _ : state) {
+    if (idle.count() > 0) {
+      state.PauseTiming();
+      std::this_thread::sleep_for(idle);
+      state.ResumeTiming();
+    }
+    ParallelFor(0, m, 24, [&](int64_t r0, int64_t r1) {
+      inference::gemm::GemmPrepacked(
+          a.data() + r0 * k, packed.data(), bias.data(), c.data() + r0 * n,
+          static_cast<int>(r1 - r0), n, k);
+    });
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["MACs"] = static_cast<double>(m) * k * n;
+  state.SetLabel(pooled ? "pooled" : "inline");
+}
+BENCHMARK(BM_GemmFanOut)
+    ->ArgsProduct({{256, 1024, 2048, 4096, 16384}, {0, 1}, {0, 200}})
+    ->UseRealTime();
 
 struct DepthwiseSetup {
   model::TensorShape shape;
@@ -582,13 +633,16 @@ void BM_CompiledExecuteBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledExecuteBatch)->Arg(1)->Arg(4)->Arg(8);
 
+// MODEL_EXEC on one runtime: mbnet-16 is warm_zoo's median mode; rsnet-32
+// and dsnet-32 are cold_churn's, where nearly every conv is ragged edge.
 void BM_InferenceExecute(benchmark::State& state) {
-  auto kind = state.range(0) == 0 ? inference::FrameworkKind::kTflm
-                                  : inference::FrameworkKind::kTvm;
+  const auto arch = static_cast<model::Architecture>(state.range(0));
+  const auto kind = state.range(1) == 0 ? inference::FrameworkKind::kTflm
+                                        : inference::FrameworkKind::kTvm;
   model::ZooSpec spec;
-  spec.arch = model::Architecture::kMbNet;
+  spec.arch = arch;
   spec.scale = 0.01;
-  spec.input_hw = 16;
+  spec.input_hw = arch == model::Architecture::kMbNet ? 16 : 32;
   auto graph = model::BuildModel(spec);
   auto framework = inference::CreateFramework(kind);
   auto loaded = framework->WrapModel(*graph);
@@ -597,9 +651,14 @@ void BM_InferenceExecute(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(runtime->Execute(input));
   }
-  state.SetLabel(inference::ToString(kind));
+  state.SetLabel(std::string(inference::ToString(kind)) + " " +
+                 model::ToString(arch) + "-" + std::to_string(spec.input_hw));
 }
-BENCHMARK(BM_InferenceExecute)->Arg(0)->Arg(1);
+BENCHMARK(BM_InferenceExecute)
+    ->ArgsProduct({{static_cast<int>(model::Architecture::kMbNet),
+                    static_cast<int>(model::Architecture::kRsNet),
+                    static_cast<int>(model::Architecture::kDsNet)},
+                   {0, 1}});
 
 void BM_SemirtHotPath(benchmark::State& state) {
   LiveRig rig(0.01);

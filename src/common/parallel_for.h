@@ -37,7 +37,9 @@ bool InsideParallelForChunk();
 /// `limit` > 0, at most `limit` threads (caller included) concurrently drain
 /// any one ParallelFor job — workers beyond the cap skip the job and serve
 /// queued tasks instead. The RT tier sets this while its lanes are busy so
-/// bulk GEMM fan-out leaves whole cores to the pinned lanes; 0 restores the
+/// bulk fan-out leaves whole cores to the pinned lanes: chiefly a batch's
+/// per-sample fan-out (CompiledModel::ExecuteBatch), since a single layer
+/// fans out only above the GEMM floor (inference/gemm.cc). 0 restores the
 /// unclamped default. Advisory and racy by design: a worker already inside a
 /// chunk finishes it.
 void SetBulkHelperLimit(int limit);

@@ -33,9 +33,20 @@ constexpr size_t kScratchBudgetFloats = 64 * 1024;
 // chunk edges never split a micro-tile.
 constexpr int64_t kPanelRows = 24;
 
-// Problems smaller than this many multiply-adds run serially; pool dispatch
-// costs about a microsecond and would dominate.
-constexpr int64_t kParallelFlopThreshold = 1 << 16;
+// The fan-out floor: problems smaller than this many multiply-adds run on the
+// calling thread. Measured with bench_micro's BM_GemmFanOut twins, three runs
+// on a 4-vCPU Xeon VM, each call after 200 us of idle pool: an empty 8-chunk
+// ParallelFor costs 6-7 us (p50), and pooled against inline took 17-46 vs
+// 10-11 us at 0.15M multiply-adds, 30-103 vs 33-43 us at 0.59M (pooled won
+// one run of three), 70-164 vs 127-162 us at 2.4M (won two) and 264-564 vs
+// 462-692 us at 9.4M. How soon pooling pays depends on where the VM places
+// the woken workers. Every layer of the zoo models is below 0.6M and stays
+// on the request's own thread.
+constexpr int64_t kParallelFlopThreshold = 1 << 21;
+
+// Depthwise row chunks above the floor carry at least this many
+// multiply-adds, so a layer just above it still spreads over every worker.
+constexpr int64_t kDepthwiseChunkFlops = 1 << 16;
 
 // K-blocking for M > 1 prepacked GEMM: a slab of kKBlockRows panel rows
 // (256 * 16 floats = 16 KiB) stays in L1 across every row tile before the
@@ -100,22 +111,6 @@ void MicroKernelPortable(const float* a, int lda, const float* b, int n,
   }
 }
 
-// Ragged right/bottom edge: per-row accumulator strip of nr (< 16) columns.
-void EdgeKernel(const float* a, int lda, const float* b, int n, const float* bias,
-                float* c, int k, int n0, int mr, int nr) {
-  for (int r = 0; r < mr; ++r) {
-    float acc[kNr];
-    for (int j = 0; j < nr; ++j) acc[j] = bias != nullptr ? bias[n0 + j] : 0.0f;
-    const float* arow = a + static_cast<size_t>(r) * lda;
-    const float* brow = b + n0;
-    for (int kk = 0; kk < k; ++kk, brow += n) {
-      const float av = arow[kk];
-      for (int j = 0; j < nr; ++j) acc[j] += av * brow[j];
-    }
-    std::memcpy(c + static_cast<size_t>(r) * n + n0, acc, nr * sizeof(float));
-  }
-}
-
 bool HasAvx2Fma() {
 #ifdef SESEMI_GEMM_X86
   return GetCpuFeatures().Avx2Fma();
@@ -137,6 +132,118 @@ static_assert(kNr == kPackPanelWidth,
 
 // Stride between consecutive column panels in the PackB layout.
 inline size_t PanelStride(int k) { return static_cast<size_t>(k) * kNr; }
+
+// ----------------------------------------------------- ragged right edge
+// The last nr (< 16) columns of mr rows of C. `b` points at the edge's first
+// column with ldb floats between k rows: n for row-major B, kNr for a packed
+// panel. Row r starts from seed + r * ldseed: the bias with ldseed 0, C itself
+// with ldseed ldc (the K-blocked slabs after the first), or zeros for nullptr.
+// Every output multiplies and then adds, one k at a time.
+
+// Scalar strips: the non-AVX2 fallback, in the role the portable full tiles
+// play for the panels.
+void EdgeStrips(const float* a, int lda, const float* b, int ldb,
+                const float* seed, int ldseed, float* c, int ldc, int k, int mr,
+                int nr) {
+  for (int r = 0; r < mr; ++r) {
+    float acc[kNr];
+    for (int j = 0; j < nr; ++j) {
+      acc[j] = seed != nullptr ? seed[static_cast<size_t>(r) * ldseed + j] : 0.0f;
+    }
+    const float* arow = a + static_cast<size_t>(r) * lda;
+    const float* brow = b;
+    for (int kk = 0; kk < k; ++kk, brow += ldb) {
+      const float av = arow[kk];
+      for (int j = 0; j < nr; ++j) acc[j] += av * brow[j];
+    }
+    std::memcpy(c + static_cast<size_t>(r) * ldc, acc, nr * sizeof(float));
+  }
+}
+
+#ifdef SESEMI_GEMM_X86
+// The first `lanes` of 8 set (none when lanes <= 0).
+__attribute__((target("avx2"))) inline __m256i LaneMask(int lanes) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// The edge on the AVX2 register tile. Like EdgeStrips it rounds the product
+// and then the sum: built for avx2 without fma, and with fp-contract pinned
+// off so that no build (-march=native included) fuses the two.
+// kWide = false (nr <= 8) keeps only the low 8 lanes. Packed panels are
+// zero-padded to 16 and load whole; row-major B, the seeds and C load and
+// store under the lane mask, so nothing past column n is touched.
+template <int MR, bool kWide, bool kPacked>
+__attribute__((target("avx2"), optimize("fp-contract=off"))) void EdgeTileAvx2(
+    const float* a, int lda, const float* b, int ldb, const float* seed,
+    int ldseed, float* c, int ldc, int k, int nr) {
+  const __m256i mask_lo = LaneMask(nr);
+  const __m256i mask_hi = LaneMask(nr - 8);
+  __m256 acc_lo[MR], acc_hi[MR];
+  for (int r = 0; r < MR; ++r) {
+    acc_lo[r] = acc_hi[r] = _mm256_setzero_ps();
+    if (seed == nullptr) continue;
+    const float* s = seed + static_cast<size_t>(r) * ldseed;
+    acc_lo[r] = _mm256_maskload_ps(s, mask_lo);
+    if constexpr (kWide) acc_hi[r] = _mm256_maskload_ps(s + 8, mask_hi);
+  }
+  for (int kk = 0; kk < k; ++kk, b += ldb) {
+    __m256 b_lo, b_hi = _mm256_setzero_ps();
+    if constexpr (kPacked) {
+      b_lo = _mm256_loadu_ps(b);
+      if constexpr (kWide) b_hi = _mm256_loadu_ps(b + 8);
+    } else {
+      b_lo = _mm256_maskload_ps(b, mask_lo);
+      if constexpr (kWide) b_hi = _mm256_maskload_ps(b + 8, mask_hi);
+    }
+    for (int r = 0; r < MR; ++r) {
+      const __m256 av = _mm256_set1_ps(a[static_cast<size_t>(r) * lda + kk]);
+      acc_lo[r] = _mm256_add_ps(acc_lo[r], _mm256_mul_ps(av, b_lo));
+      if constexpr (kWide) {
+        acc_hi[r] = _mm256_add_ps(acc_hi[r], _mm256_mul_ps(av, b_hi));
+      }
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    float* crow = c + static_cast<size_t>(r) * ldc;
+    _mm256_maskstore_ps(crow, mask_lo, acc_lo[r]);
+    if constexpr (kWide) _mm256_maskstore_ps(crow + 8, mask_hi, acc_hi[r]);
+  }
+}
+
+using EdgeTileFn = void (*)(const float*, int, const float*, int, const float*,
+                            int, float*, int, int, int);
+
+template <bool kPacked>
+EdgeTileFn EdgeTile(int mr, int nr) {
+  static const EdgeTileFn narrow[kMaxMr] = {
+      EdgeTileAvx2<1, false, kPacked>, EdgeTileAvx2<2, false, kPacked>,
+      EdgeTileAvx2<3, false, kPacked>, EdgeTileAvx2<4, false, kPacked>,
+      EdgeTileAvx2<5, false, kPacked>, EdgeTileAvx2<6, false, kPacked>};
+  static const EdgeTileFn wide[kMaxMr] = {
+      EdgeTileAvx2<1, true, kPacked>, EdgeTileAvx2<2, true, kPacked>,
+      EdgeTileAvx2<3, true, kPacked>, EdgeTileAvx2<4, true, kPacked>,
+      EdgeTileAvx2<5, true, kPacked>, EdgeTileAvx2<6, true, kPacked>};
+  return nr > 8 ? wide[mr - 1] : narrow[mr - 1];
+}
+#endif  // SESEMI_GEMM_X86
+
+template <bool kPacked>
+void RaggedEdge(const float* a, int lda, const float* b, int ldb,
+                const float* seed, int ldseed, float* c, int ldc, int k, int mr,
+                int nr) {
+#ifdef SESEMI_GEMM_X86
+  if (HasAvx2Fma()) {
+    EdgeTile<kPacked>(mr, nr)(a, lda, b, ldb, seed, ldseed, c, ldc, k, nr);
+    return;
+  }
+#endif
+  EdgeStrips(a, lda, b, ldb, seed, ldseed, c, ldc, k, mr, nr);
+}
+
+inline const float* BiasFrom(const float* bias, int n0) {
+  return bias != nullptr ? bias + n0 : nullptr;
+}
 
 #ifdef SESEMI_GEMM_X86
 // Packed-B micro-tile: same accumulator shape as MicroKernelAvx2, but the
@@ -235,24 +342,6 @@ void MicroKernelPackedAccPortable(const float* a, int lda, const float* bp,
   }
 }
 
-// Ragged right edge of the packed layout: the last panel is zero-padded to 16
-// columns, but C (and bias) only have nr valid ones, so accumulate scalar
-// strips over the panel rows.
-void PackedEdgeKernel(const float* a, int lda, const float* bp, int n,
-                      const float* bias, float* c, int k, int n0, int mr, int nr) {
-  for (int r = 0; r < mr; ++r) {
-    float acc[kNr];
-    for (int j = 0; j < nr; ++j) acc[j] = bias != nullptr ? bias[n0 + j] : 0.0f;
-    const float* arow = a + static_cast<size_t>(r) * lda;
-    const float* brow = bp;
-    for (int kk = 0; kk < k; ++kk, brow += kNr) {
-      const float av = arow[kk];
-      for (int j = 0; j < nr; ++j) acc[j] += av * brow[j];
-    }
-    std::memcpy(c + static_cast<size_t>(r) * n + n0, acc, nr * sizeof(float));
-  }
-}
-
 #ifdef SESEMI_GEMM_X86
 // M == 1 over packed B: per panel, two accumulator registers live across the
 // whole k loop while the panel streams forward — every weight is touched
@@ -275,8 +364,8 @@ __attribute__((target("avx2,fma"))) void GemvPackedAvx2(
     _mm256_storeu_ps(c + n0 + 8, acc_hi);
   }
   if (n_full < n) {
-    PackedEdgeKernel(a, k, packed + (n_full / kNr) * PanelStride(k), n, bias, c,
-                     k, n_full, 1, n - n_full);
+    RaggedEdge<true>(a, k, packed + (n_full / kNr) * PanelStride(k), kNr,
+                     BiasFrom(bias, n_full), 0, c + n_full, n, k, 1, n - n_full);
   }
 }
 #endif  // SESEMI_GEMM_X86
@@ -295,8 +384,8 @@ void GemvPackedPortable(const float* a, const float* packed, const float* bias,
     std::memcpy(c + n0, acc, kNr * sizeof(float));
   }
   if (n_full < n) {
-    PackedEdgeKernel(a, k, packed + (n_full / kNr) * PanelStride(k), n, bias, c,
-                     k, n_full, 1, n - n_full);
+    RaggedEdge<true>(a, k, packed + (n_full / kNr) * PanelStride(k), kNr,
+                     BiasFrom(bias, n_full), 0, c + n_full, n, k, 1, n - n_full);
   }
 }
 
@@ -381,22 +470,6 @@ KernelFn FullTilePackedAccKernel(int mr) {
   return portable[mr - 1];
 }
 
-// Ragged-edge accumulate strip (C carries the partial sum).
-void PackedEdgeKernelAcc(const float* a, int lda, const float* bp, int n,
-                         float* c, int k, int n0, int mr, int nr) {
-  for (int r = 0; r < mr; ++r) {
-    float acc[kNr];
-    std::memcpy(acc, c + static_cast<size_t>(r) * n + n0, nr * sizeof(float));
-    const float* arow = a + static_cast<size_t>(r) * lda;
-    const float* brow = bp;
-    for (int kk = 0; kk < k; ++kk, brow += kNr) {
-      const float av = arow[kk];
-      for (int j = 0; j < nr; ++j) acc[j] += av * brow[j];
-    }
-    std::memcpy(c + static_cast<size_t>(r) * n + n0, acc, nr * sizeof(float));
-  }
-}
-
 // All rows [m0, m1) of C against the packed panels.
 void GemmPrepackedRows(const float* a, const float* packed, const float* bias,
                        float* c, int m0, int m1, int n, int k) {
@@ -410,8 +483,9 @@ void GemmPrepackedRows(const float* a, const float* packed, const float* bias,
       kernel(arow, k, packed + (n0 / kNr) * PanelStride(k), n, bias, crow, k, n0);
     }
     if (n_full < n) {
-      PackedEdgeKernel(arow, k, packed + (n_full / kNr) * PanelStride(k), n,
-                       bias, crow, k, n_full, mr, n - n_full);
+      RaggedEdge<true>(arow, k, packed + (n_full / kNr) * PanelStride(k), kNr,
+                       BiasFrom(bias, n_full), 0, crow + n_full, n, k, mr,
+                       n - n_full);
     }
   }
 }
@@ -440,9 +514,11 @@ void GemmPrepackedRowsKBlocked(const float* a, const float* packed,
               k0 == 0 ? FullTilePackedKernel(mr) : FullTilePackedAccKernel(mr);
           kernel(arow, k, bslab, n, bias, crow, kc, n0);
         } else if (k0 == 0) {
-          PackedEdgeKernel(arow, k, bslab, n, bias, crow, kc, n0, mr, n - n_full);
+          RaggedEdge<true>(arow, k, bslab, kNr, BiasFrom(bias, n0), 0,
+                           crow + n0, n, kc, mr, n - n_full);
         } else {
-          PackedEdgeKernelAcc(arow, k, bslab, n, crow, kc, n0, mr, n - n_full);
+          RaggedEdge<true>(arow, k, bslab, kNr, crow + n0, n, crow + n0, n, kc,
+                           mr, n - n_full);
         }
       }
     }
@@ -462,7 +538,8 @@ void GemmRows(const float* a, const float* b, const float* bias, float* c, int m
       kernel(arow, k, b, n, bias, crow, k, n0);
     }
     if (n_full < n) {
-      EdgeKernel(arow, k, b, n, bias, crow, k, n_full, mr, n - n_full);
+      RaggedEdge<false>(arow, k, b + n_full, n, BiasFrom(bias, n_full), 0,
+                        crow + n_full, n, k, mr, n - n_full);
     }
   }
 }
@@ -576,7 +653,7 @@ void DepthwiseConv2d(const float* in, const TensorShape& in_shape,
     return;
   }
   const int64_t grain =
-      std::max<int64_t>(1, kParallelFlopThreshold / std::max<int64_t>(1, flops_per_row));
+      std::max<int64_t>(1, kDepthwiseChunkFlops / std::max<int64_t>(1, flops_per_row));
   ParallelFor(0, out_h, grain, rows);
 }
 

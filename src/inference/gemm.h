@@ -13,9 +13,14 @@ using model::TensorShape;
 /// C (M x N) = A (M x K, row-major) * B (K x N, row-major), with C[m][n]
 /// seeded from bias[n] (bias == nullptr seeds zero). Register-blocked
 /// micro-kernels with an AVX2+FMA variant selected at runtime; the k loop
-/// runs strictly ascending per output element, so results match the naive
-/// triple loop up to FMA rounding. Outer row panels are spread across the
-/// process thread pool when the problem is large enough to amortize it.
+/// runs strictly ascending per output element. Full 16-column panels fuse
+/// each multiply-add, so they match the naive triple loop up to FMA
+/// rounding. The ragged right edge (the last n % 16 columns) runs on an
+/// AVX2 register tile that multiplies and then adds, so for M > 1 its
+/// columns equal the naive loop's bit for bit on every tier (M == 1 takes a
+/// fused GEMV instead). Row panels spread over the process thread pool only
+/// from 2^21 multiply-adds (the fan-out floor); below it, which covers every
+/// layer of the zoo models, the calling thread runs the whole problem.
 void Gemm(const float* a, const float* b, const float* bias, float* c, int m,
           int n, int k);
 
@@ -43,8 +48,8 @@ void Conv2dGemm(const float* in, const TensorShape& in_shape,
 // so the micro-kernel's per-k loads become a single contiguous forward stream
 // instead of stride-N row hops. The kernels below consume that layout; per-
 // element accumulation order (ascending k) is unchanged, so results match the
-// unpacked Gemm bit-for-bit on full panels and to FMA rounding vs the naive
-// loops.
+// unpacked Gemm bit-for-bit for M > 1 and the naive loops to FMA rounding
+// (bit for bit on the ragged edge).
 
 /// Width of a packed column panel (the micro-kernel's N blocking).
 inline constexpr int kPackPanelWidth = 16;
@@ -58,8 +63,10 @@ void PackB(const float* b, int k, int n, float* packed);
 
 /// C (M x N) = A (M x K) * packed-B, bias-seeded like Gemm. `packed_b` is the
 /// PackB layout. M == 1 rides a panel-streaming GEMV over the same layout;
-/// M > 1 runs the register-blocked micro-kernels with row panels spread over
-/// the process pool exactly like Gemm.
+/// M > 1 runs the register-blocked micro-kernels. At every M the zero-padded
+/// edge panel loads whole into Gemm's multiply-then-add edge tile, so the
+/// last n % 16 columns equal the naive loop's bit for bit. Row panels fan
+/// out over the process pool above the same 2^21 multiply-add floor as Gemm.
 void GemmPrepacked(const float* a, const float* packed_b, const float* bias,
                    float* c, int m, int n, int k);
 
@@ -188,8 +195,9 @@ void Conv2dGemmInt8Prepacked(const uint8_t* in_q, const ActQuant& in_quant,
 /// path: each output row is a panel of per-channel GEMV strips — the channel
 /// dimension is contiguous in HWC, so every (ky,kx) tap is one fused
 /// multiply-add sweep over the channel vector (AVX2+FMA when available,
-/// auto-vectorizable scalar otherwise) — and row panels fan out over the
-/// process fork-join pool exactly like Gemm's row panels. Tap accumulation
+/// auto-vectorizable scalar otherwise) — and from Gemm's 2^21 multiply-add
+/// floor up, rows fan out over the process fork-join pool in chunks of at
+/// least 2^16 multiply-adds. Tap accumulation
 /// order matches the naive kernel, so results agree up to FMA rounding.
 /// Weight layout: w[ky][kx][c], followed by c biases.
 void DepthwiseConv2d(const float* in, const TensorShape& in_shape,

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <thread>
 #include <vector>
@@ -123,7 +124,55 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(GemmCase{1, 1, 1}, GemmCase{1, 17, 5}, GemmCase{1, 1000, 96},
                       GemmCase{2, 15, 7}, GemmCase{5, 16, 16}, GemmCase{6, 33, 9},
                       GemmCase{7, 100, 13}, GemmCase{13, 31, 257},
-                      GemmCase{48, 64, 20}, GemmCase{24, 10, 515}));
+                      GemmCase{48, 64, 20}, GemmCase{24, 10, 515},
+                      // Above the fan-out floor: 2.6M multiply-adds spread
+                      // over the pool in 24-row panels, ragged edge included.
+                      GemmCase{512, 40, 128}));
+
+// The ragged right edge (columns n - n % 16 and up) multiplies and then adds,
+// one k at a time, on every tier: bit for bit what GemmRef computes. Pinned
+// for GemmPrepacked at every m (the packed GEMV included) and for Gemm at
+// m > 1 (Gemm's m == 1 GEMV fuses its multiply-adds on AVX2), plus K-blocked
+// shapes whose edge accumulates across slabs.
+TEST(PackedGemmTest, RaggedEdgeColumnsMatchReferenceBitwise) {
+  std::vector<GemmCase> shapes;
+  for (int n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 24, 31, 40}) {
+    for (int m : {1, 2, 5, 6, 7, 13}) {
+      for (int k : {1, 7, 72, 515}) shapes.push_back(GemmCase{m, n, k});
+    }
+  }
+  shapes.push_back(GemmCase{2, 520, 1025});
+  shapes.push_back(GemmCase{3, 527, 1030});
+  for (const GemmCase& p : shapes) {
+    std::vector<float> a = RandomVec(static_cast<size_t>(p.m) * p.k, 41);
+    std::vector<float> b = RandomVec(static_cast<size_t>(p.k) * p.n, 42);
+    std::vector<float> bias = RandomVec(p.n, 43);
+    std::vector<float> packed(gemm::PackedBElements(p.k, p.n));
+    gemm::PackB(b.data(), p.k, p.n, packed.data());
+
+    std::vector<float> want(static_cast<size_t>(p.m) * p.n);
+    std::vector<float> unpacked(want.size()), got(want.size());
+    GemmRef(a.data(), b.data(), bias.data(), want.data(), p.m, p.n, p.k);
+    gemm::Gemm(a.data(), b.data(), bias.data(), unpacked.data(), p.m, p.n, p.k);
+    gemm::GemmPrepacked(a.data(), packed.data(), bias.data(), got.data(), p.m,
+                        p.n, p.k);
+
+    const int edge = p.n - p.n % gemm::kPackPanelWidth;
+    const size_t edge_bytes = static_cast<size_t>(p.n - edge) * sizeof(float);
+    int packed_rows_off = 0, unpacked_rows_off = 0;
+    for (int i = 0; i < p.m; ++i) {
+      const size_t at = static_cast<size_t>(i) * p.n + edge;
+      packed_rows_off += std::memcmp(&want[at], &got[at], edge_bytes) != 0;
+      if (p.m > 1) {
+        unpacked_rows_off += std::memcmp(&want[at], &unpacked[at], edge_bytes) != 0;
+      }
+    }
+    EXPECT_EQ(packed_rows_off, 0)
+        << p.m << "x" << p.n << "x" << p.k << ": GemmPrepacked edge rows differ";
+    EXPECT_EQ(unpacked_rows_off, 0)
+        << p.m << "x" << p.n << "x" << p.k << ": Gemm edge rows differ";
+  }
+}
 
 TEST(PackedGemmTest, PackedSizeRoundsUpToWholePanels) {
   EXPECT_EQ(gemm::PackedBElements(3, 16), 3u * 16u);

@@ -225,7 +225,8 @@ TEST(GemmParityTest, DepthwiseMatchesNaiveAcrossShapes) {
   } cases[] = {{8, 8, 8, 3, 1},   {16, 16, 32, 3, 1}, {16, 16, 13, 3, 2},
                {7, 9, 5, 3, 1},   {12, 12, 64, 3, 2}, {5, 5, 3, 5, 1},
                {1, 1, 16, 3, 1},  {32, 32, 24, 3, 1}, {4, 4, 1, 1, 1},
-               {30, 30, 96, 3, 1}};
+               {30, 30, 96, 3, 1},
+               {64, 64, 64, 3, 1}};  // above the fan-out floor: pooled rows
   for (const auto& p : cases) {
     TensorShape shape{p.h, p.w, p.c};
     const size_t w_count = static_cast<size_t>(p.kernel) * p.kernel * p.c + p.c;
