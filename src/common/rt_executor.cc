@@ -17,28 +17,6 @@ namespace {
 
 thread_local int t_rt_lane_index = -1;
 
-inline void CpuPause() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-
-// CPUs this process may actually run on — affinity-aware, unlike
-// hardware_concurrency() on some libcs. Spinning is only profitable when a
-// lane can own a core outright; see the ctor.
-int AvailableCpus() {
-#if defined(__linux__)
-  cpu_set_t set;
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    const int n = CPU_COUNT(&set);
-    if (n > 0) return n;
-  }
-#endif
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 uint32_t RoundUpPow2(uint32_t v) {
   if (v < 2) return 2;
   v--;
@@ -58,12 +36,6 @@ int RtExecutor::LaneIndex() { return t_rt_lane_index; }
 
 RtExecutor::RtExecutor(const RtExecutorConfig& config) : config_(config) {
   config_.num_lanes = std::max(1, config_.num_lanes);
-  config_.spin_iterations = std::max(0, config_.spin_iterations);
-  // Spinning buys a cache-line handoff only when the lane owns a core the
-  // rest of the process is not waiting for. On machines (or cgroups) without
-  // a spare core per lane, a spinning lane steals the submitter's timeslice
-  // and ADDS milliseconds of latency — park immediately instead.
-  if (AvailableCpus() <= config_.num_lanes) config_.spin_iterations = 0;
   if (config_.clamp_bulk_while_busy) {
     bulk_helper_cap_ = config_.bulk_helpers_while_busy > 0
                            ? config_.bulk_helpers_while_busy
@@ -213,27 +185,13 @@ void RtExecutor::LaneLoop(int lane) {
   JobFn fn = nullptr;
   void* arg = nullptr;
   for (;;) {
-    // Always attempt the pop once, even with spinning disabled: the wake
-    // token and the slot publish are separate, and a lane that parks without
-    // looking would consume tokens while jobs sit in the ring.
-    bool got = TryPop(&fn, &arg);
-    // Spin-then-backoff: a fresh handoff lands within a few pause loops; the
-    // exponential pause keeps the idle lane off the submitters' cache lines.
-    // Once the backoff saturates, yield — on an oversubscribed machine the
-    // submitter may need this core to publish the very job we are polling
-    // for.
-    int pause = 1;
-    for (int i = 0; !got && i < config_.spin_iterations; ++i) {
-      if (stop_.load(std::memory_order_acquire)) break;
-      if (pause < 64) {
-        for (int p = 0; p < pause; ++p) CpuPause();
-        pause <<= 1;
-      } else {
-        std::this_thread::yield();
-      }
-      got = TryPop(&fn, &arg);
-    }
-    if (!got) {
+    // Pop before blocking, and block at once when the ring is empty. A lane
+    // can pop a job without taking its token, so leftover tokens are normal;
+    // each costs one non-blocking acquire and one empty pop. Never spin (see
+    // the header), and never wait for a slot another submitter claimed but
+    // has not published: that submitter may be preempted on this lane's
+    // core, and its own token wakes the lane once the slot is published.
+    if (!TryPop(&fn, &arg)) {
       if (stop_.load(std::memory_order_acquire)) {
         // Drain remaining jobs so nothing queued is abandoned, then exit.
         while (TryPop(&fn, &arg)) {
@@ -244,7 +202,6 @@ void RtExecutor::LaneLoop(int lane) {
         }
         return;
       }
-      parks_.fetch_add(1, std::memory_order_relaxed);
       ready_.acquire();
       continue;
     }
@@ -262,7 +219,6 @@ RtExecutorStats RtExecutor::stats() const {
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.executed = executed_.load(std::memory_order_relaxed);
   s.rejected_full = rejected_full_.load(std::memory_order_relaxed);
-  s.parks = parks_.load(std::memory_order_relaxed);
   s.pinned = config_.pin_threads && !pin_failed_.load(std::memory_order_relaxed);
   s.elevated =
       config_.elevate_priority && !elevate_failed_.load(std::memory_order_relaxed);

@@ -16,8 +16,8 @@ namespace sesemi {
 /// The real-time execution tier (docs/ARCHITECTURE.md "Execution tiers"):
 /// a small set of dedicated inference lanes for the latency-sensitive
 /// priority classes, following the AARI real-time inference-thread pattern
-/// (a high-priority thread fed through a semaphore/atomic handoff with
-/// spin-then-backoff, never a mutex on the signalling path).
+/// (a high-priority thread fed through a semaphore/atomic handoff, never a
+/// mutex on the signalling path).
 ///
 /// Design:
 ///  - Handoff is a fixed-capacity lock-free MPMC slot ring (Vyukov bounded
@@ -25,11 +25,15 @@ namespace sesemi {
 ///    performs ZERO heap allocations — probe-tested — and never blocks: a
 ///    full ring returns false and the caller degrades to the bulk tier.
 ///  - Wake is a counting semaphore (futex-backed on Linux): one release per
-///    submitted job, so a parked lane wakes exactly when work exists. Lanes
-///    spin with exponential pause backoff before parking, so the
-///    steady-state handoff latency is a cache-line transfer, not a syscall.
-///  - Lanes are pinned to distinct cores (highest first, away from the bulk
-///    pool's natural low-core affinity) and elevated to SCHED_FIFO. Both are
+///    submitted job. A lane pops until the ring is empty, then blocks on the
+///    semaphore at once, so an idle lane burns no CPU. Lanes never spin:
+///    spinning FIFO lanes that share a core only yield to each other, and
+///    spinning at SCHED_FIFO runs into the kernel's RT throttle, which
+///    stalls the whole core.
+///  - Lane i is pinned to core ncpu-1-i (highest first, away from the bulk
+///    pool's natural low-core affinity) and elevated to SCHED_FIFO. Lanes
+///    are numbered per executor, so lane 0 of every executor in a process
+///    shares the top core; a blocked lane leaves it to the others. Both are
 ///    privileged operations: EPERM (the normal CI-container outcome) is
 ///    detected once, logged once, and degrades to plain unpinned threads —
 ///    never an error.
@@ -46,11 +50,6 @@ struct RtExecutorConfig {
   /// Slot-ring capacity (rounded up to a power of two). Submits beyond a
   /// full ring return false rather than blocking.
   uint32_t queue_capacity = 1024;
-  /// Dequeue attempts a lane makes (with growing pause backoff, then yields)
-  /// before parking on the semaphore. Auto-forced to 0 when the process has
-  /// no spare core per lane (affinity-aware): spinning without an owned core
-  /// steals the submitter's timeslice and inverts the latency win.
-  int spin_iterations = 2048;
   /// Pin lane i to core (ncores-1-i); elevate to SCHED_FIFO. Both degrade
   /// gracefully when the kernel says no (see pinned/elevated in stats).
   bool pin_threads = true;
@@ -70,9 +69,10 @@ struct RtExecutorStats {
   int lanes = 0;
   int busy_lanes = 0;         ///< lanes currently executing a job
   uint64_t submitted = 0;     ///< accepted Submits
-  uint64_t executed = 0;      ///< jobs completed on a lane
+  uint64_t executed = 0;      ///< jobs whose body has returned on a lane;
+                              ///< counted after the body, so it can trail
+                              ///< the body's own side effects
   uint64_t rejected_full = 0; ///< Submits refused on a full ring
-  uint64_t parks = 0;         ///< times a lane gave up spinning and slept
   bool pinned = false;        ///< affinity applied on every lane
   bool elevated = false;      ///< SCHED_FIFO applied on every lane
 };
@@ -136,7 +136,6 @@ class RtExecutor {
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> executed_{0};
   std::atomic<uint64_t> rejected_full_{0};
-  std::atomic<uint64_t> parks_{0};
   std::atomic<bool> pin_failed_{false};
   std::atomic<bool> elevate_failed_{false};
   std::atomic<bool> warned_{false};

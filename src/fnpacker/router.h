@@ -35,7 +35,10 @@ struct EndpointState {
 /// FnPacker's routing counts, incremented in place.
 struct RouterCounters {
   obs::Counter routed;
-  obs::Counter model_switches;  ///< endpoint had to change serving model
+  /// Routes that sent a model to a different endpoint than its previous
+  /// route did. This counts a model moving between endpoints, not an
+  /// endpoint changing the model its enclaves hold.
+  obs::Counter model_switches;
   obs::Counter overflow;  ///< no preferred endpoint free; least-loaded fallback
   obs::Counter breaker_opens;       ///< closed/half-open -> open transitions
   obs::Counter breaker_rejections;  ///< routes refused: every endpoint open

@@ -3,12 +3,16 @@
 // not assumed), multi-producer handoff under contention (the TSan leg runs
 // this), ring-full rejection, the bulk-helper clamp transitions, graceful
 // degradation when pinning/priority syscalls fail (the normal outcome in an
-// unprivileged CI container), and ParallelFor collapsing to inline execution
-// on a lane.
+// unprivileged CI container), ParallelFor collapsing to inline execution
+// on a lane, and an idle lane blocking instead of burning CPU.
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <new>
@@ -47,6 +51,31 @@ RtExecutorConfig PlainConfig() {
   return config;
 }
 
+// Holds a lane inside a job until Open(), so a test can queue work behind it.
+struct Gate {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool open = false;
+  std::atomic<bool> entered{false};
+
+  static void Hold(void* arg) {
+    auto* g = static_cast<Gate*>(arg);
+    g->entered.store(true, std::memory_order_release);
+    std::unique_lock<std::mutex> lock(g->mutex);
+    g->cv.wait(lock, [g] { return g->open; });
+  }
+  void WaitEntered() {
+    while (!entered.load(std::memory_order_acquire)) std::this_thread::yield();
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      open = true;
+    }
+    cv.notify_all();
+  }
+};
+
 TEST(RtExecutorTest, ExecutesSubmittedJobs) {
   RtExecutor exec(PlainConfig());
   std::atomic<int> ran{0};
@@ -58,10 +87,13 @@ TEST(RtExecutorTest, ExecutesSubmittedJobs) {
         },
         &ran));
   }
-  while (ran.load(std::memory_order_relaxed) < 100) std::this_thread::yield();
+  // A lane counts a job as executed after its body returns, so wait on the
+  // count itself: the bodies' own tally can reach 100 first.
+  while (exec.stats().executed < 100u) std::this_thread::yield();
   const RtExecutorStats stats = exec.stats();
+  EXPECT_EQ(ran.load(std::memory_order_relaxed), 100);
   EXPECT_EQ(stats.submitted, 100u);
-  EXPECT_GE(stats.executed, 100u);
+  EXPECT_EQ(stats.executed, 100u);
   EXPECT_EQ(stats.rejected_full, 0u);
 }
 
@@ -146,30 +178,15 @@ TEST(RtExecutorTest, MultiProducerHandoffDeliversEveryJob) {
 }
 
 TEST(RtExecutorTest, FullRingRejectsInsteadOfBlocking) {
-  struct Gate {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool open = false;
-    std::atomic<bool> entered{false};
-  } gate;
-
+  Gate gate;
   RtExecutorConfig config = PlainConfig();
   config.num_lanes = 1;
   config.queue_capacity = 2;  // ring holds exactly 2 queued jobs
   RtExecutor exec(config);
 
   // Wedge the single lane so nothing drains.
-  ASSERT_TRUE(exec.Submit(
-      [](void* arg) {
-        auto* g = static_cast<Gate*>(arg);
-        g->entered.store(true, std::memory_order_release);
-        std::unique_lock<std::mutex> lock(g->mutex);
-        g->cv.wait(lock, [g] { return g->open; });
-      },
-      &gate));
-  while (!gate.entered.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
+  ASSERT_TRUE(exec.Submit(Gate::Hold, &gate));
+  gate.WaitEntered();
 
   const auto noop = [](void*) {};
   ASSERT_TRUE(exec.Submit(noop, nullptr));
@@ -178,12 +195,7 @@ TEST(RtExecutorTest, FullRingRejectsInsteadOfBlocking) {
   EXPECT_FALSE(exec.Submit(noop, nullptr));
   EXPECT_GE(exec.stats().rejected_full, 1u);
   EXPECT_EQ(exec.stats().busy_lanes, 1);
-
-  {
-    std::lock_guard<std::mutex> lock(gate.mutex);
-    gate.open = true;
-  }
-  gate.cv.notify_all();
+  gate.Open();
 }
 
 TEST(RtExecutorTest, SchedulingFailureDegradesToUnpinnedLanes) {
@@ -212,36 +224,17 @@ TEST(RtExecutorTest, SchedulingFailureDegradesToUnpinnedLanes) {
 TEST(RtExecutorTest, BusyLaneClampsBulkHelpersAndReleasesOnIdle) {
   ASSERT_EQ(BulkHelperLimit(), 0);
 
-  struct Gate {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool open = false;
-    std::atomic<bool> entered{false};
-  } gate;
-
+  Gate gate;
   RtExecutorConfig config = PlainConfig();
   config.clamp_bulk_while_busy = true;
   config.bulk_helpers_while_busy = 2;
   {
     RtExecutor exec(config);
-    ASSERT_TRUE(exec.Submit(
-        [](void* arg) {
-          auto* g = static_cast<Gate*>(arg);
-          g->entered.store(true, std::memory_order_release);
-          std::unique_lock<std::mutex> lock(g->mutex);
-          g->cv.wait(lock, [g] { return g->open; });
-        },
-        &gate));
-    while (!gate.entered.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
+    ASSERT_TRUE(exec.Submit(Gate::Hold, &gate));
+    gate.WaitEntered();
     // Busy 0 -> 1 installed the clamp.
     EXPECT_EQ(BulkHelperLimit(), 2);
-    {
-      std::lock_guard<std::mutex> lock(gate.mutex);
-      gate.open = true;
-    }
-    gate.cv.notify_all();
+    gate.Open();
     while (exec.stats().busy_lanes != 0) std::this_thread::yield();
     // Busy 1 -> 0 removed it. The lane publishes the idle count one store
     // before it lifts the clamp, so give that store a bounded moment to land.
@@ -280,7 +273,6 @@ TEST(RtExecutorTest, DestructorDrainsQueuedJobs) {
   {
     RtExecutorConfig config = PlainConfig();
     config.queue_capacity = 512;
-    config.spin_iterations = 0;  // force the park path to cover wakeups
     RtExecutor exec(config);
     for (int i = 0; i < kJobs; ++i) {
       ASSERT_TRUE(exec.Submit(
@@ -293,6 +285,59 @@ TEST(RtExecutorTest, DestructorDrainsQueuedJobs) {
   }
   // Destructor returns only after lanes drained everything queued.
   EXPECT_EQ(ran.load(std::memory_order_relaxed), kJobs);
+}
+
+// A lane that pops a queued job does not take that job's wake token, so a
+// drained backlog leaves one token per job behind. An idle lane must still
+// block on them, not poll. Thread CPU time accrues only while the lane runs,
+// so the bound is one-sided: a blocked lane reads ~0 however slow or loaded
+// the host is, and the sleep only gives a polling lane time to show itself.
+TEST(RtExecutorTest, IdleLaneBurnsNoCpuAfterABacklog) {
+  struct CpuProbe {
+    std::atomic<bool> done{false};
+    int64_t lane_cpu_ns = 0;
+  };
+  constexpr int kBacklog = 1000;
+  Gate gate;
+  std::atomic<int> ran{0};
+  CpuProbe before;
+  CpuProbe after;
+  RtExecutorConfig config = PlainConfig();
+  config.queue_capacity = 1024;  // the whole backlog queues behind the gate
+  RtExecutor exec(config);
+
+  ASSERT_TRUE(exec.Submit(Gate::Hold, &gate));
+  gate.WaitEntered();
+  for (int i = 0; i < kBacklog; ++i) {
+    ASSERT_TRUE(exec.Submit(
+        [](void* arg) {
+          static_cast<std::atomic<int>*>(arg)->fetch_add(
+              1, std::memory_order_relaxed);
+        },
+        &ran));
+  }
+  gate.Open();
+  while (ran.load(std::memory_order_relaxed) < kBacklog) {
+    std::this_thread::yield();
+  }
+
+  const auto read_lane_cpu = [](void* arg) {
+    auto* p = static_cast<CpuProbe*>(arg);
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    p->lane_cpu_ns = int64_t{ts.tv_sec} * 1000000000 + ts.tv_nsec;
+    p->done.store(true, std::memory_order_release);
+  };
+  ASSERT_TRUE(exec.Submit(read_lane_cpu, &before));
+  while (!before.done.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(exec.Submit(read_lane_cpu, &after));
+  while (!after.done.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  const int64_t idle_cpu_ns = after.lane_cpu_ns - before.lane_cpu_ns;
+  EXPECT_LT(idle_cpu_ns, 20 * 1000 * 1000)
+      << "an idle lane ran for " << idle_cpu_ns / 1000
+      << " us of a 100 ms sleep instead of blocking";
 }
 
 }  // namespace
