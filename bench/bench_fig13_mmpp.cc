@@ -228,21 +228,19 @@ void ClassesSection() {
               PercentileUs(interactive_us, 99.0));
   std::printf("%-14s %10.1f %12.0f %12.0f\n", "bulk", bulk_ok / wall_s,
               PercentileUs(bulk_us, 50.0), PercentileUs(bulk_us, 99.0));
-  std::printf("rt lane dispatches: %llu (fallbacks %llu)\n",
-              static_cast<unsigned long long>(counters.rt_dispatches.Value()),
-              static_cast<unsigned long long>(counters.rt_fallbacks.Value()));
+  std::printf("rt lane dispatches: %llu\n",
+              static_cast<unsigned long long>(counters.rt_dispatches.Value()));
   std::printf(
       "{\"bench\":\"fig13\",\"section\":\"%s\","
       "\"interactive_inv_per_s\":%.1f,\"interactive_p50_us\":%.0f,"
       "\"interactive_p99_us\":%.0f,\"bulk_inv_per_s\":%.1f,"
       "\"bulk_p50_us\":%.0f,\"bulk_p99_us\":%.0f,"
-      "\"rt_dispatches\":%llu,\"rt_fallbacks\":%llu,\"quantize\":%s}\n",
+      "\"rt_dispatches\":%llu,\"quantize\":%s}\n",
       g_quantize ? "classes_int8" : "classes", interactive_ok / wall_s,
       PercentileUs(interactive_us, 50.0),
       PercentileUs(interactive_us, 99.0), bulk_ok / wall_s,
       PercentileUs(bulk_us, 50.0), PercentileUs(bulk_us, 99.0),
       static_cast<unsigned long long>(counters.rt_dispatches.Value()),
-      static_cast<unsigned long long>(counters.rt_fallbacks.Value()),
       g_quantize ? "true" : "false");
 }
 

@@ -2,15 +2,6 @@
 
 namespace sesemi::cluster {
 
-const char* ToString(ScaleDecision decision) {
-  switch (decision) {
-    case ScaleDecision::kHold: return "hold";
-    case ScaleDecision::kUp: return "up";
-    case ScaleDecision::kDown: return "down";
-  }
-  return "?";
-}
-
 ScaleDecision Autoscaler::Tick(const std::vector<NodeLoadSample>& active) {
   stats_.ticks++;
   if (!config_.enabled || active.empty()) return ScaleDecision::kHold;

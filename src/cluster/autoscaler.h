@@ -53,8 +53,6 @@ struct NodeLoadSample {
 
 enum class ScaleDecision { kHold, kUp, kDown };
 
-const char* ToString(ScaleDecision decision);
-
 /// Cumulative policy statistics.
 struct AutoscalerStats {
   uint64_t ticks = 0;

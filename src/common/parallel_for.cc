@@ -141,10 +141,6 @@ class ForkJoinPool {
 
 thread_local bool t_inside_parallel_for = false;
 
-/// Per-job participation cap (see SetBulkHelperLimit): 0 = unclamped. Read
-/// relaxed on the worker wake path; set by the RT tier on busy transitions.
-std::atomic<int> g_bulk_helper_limit{0};
-
 void ForkJoinPool::WorkerLoop() {
   uint64_t seen = 0;
   std::unique_lock<std::mutex> lock(mutex_);
@@ -157,14 +153,6 @@ void ForkJoinPool::WorkerLoop() {
     // task would spin on the no-op job instead of reaching the task branch.
     if (job != nullptr &&
         job->next.load(std::memory_order_relaxed) >= job->end) {
-      job = nullptr;
-    }
-    // CPU-budget clamp while RT lanes are busy: once `limit` threads
-    // (counting the caller) are draining this job, further workers leave it
-    // alone — its owner still drains it to completion — and serve tasks.
-    const int helper_limit = g_bulk_helper_limit.load(std::memory_order_relaxed);
-    if (job != nullptr && helper_limit > 0 &&
-        job->active.load(std::memory_order_acquire) >= helper_limit) {
       job = nullptr;
     }
     if (job != nullptr) {
@@ -196,14 +184,6 @@ void ForkJoinPool::WorkerLoop() {
 int ParallelismDegree() { return ForkJoinPool::Instance().degree(); }
 
 bool InsideParallelForChunk() { return t_inside_parallel_for; }
-
-void SetBulkHelperLimit(int limit) {
-  g_bulk_helper_limit.store(limit < 0 ? 0 : limit, std::memory_order_relaxed);
-}
-
-int BulkHelperLimit() {
-  return g_bulk_helper_limit.load(std::memory_order_relaxed);
-}
 
 void ParallelForDispatch(int64_t begin, int64_t end, int64_t grain,
                          const std::function<void(int64_t, int64_t)>& fn) {

@@ -21,6 +21,10 @@ namespace sesemi {
 /// *different* in-flight requests interleave instead of queueing behind each
 /// other: a worker that finishes its chunk of one request's GEMM immediately
 /// picks up another request's pending task or panel.
+///
+/// Any idle worker may help drain any job. The RT tier takes its cores by
+/// pinning SCHED_FIFO lanes (common/rt_executor), not by capping this pool,
+/// and its lanes run ParallelFor inline.
 
 /// Number of workers ParallelFor can spread across (>= 1). Lazily starts the
 /// process-wide pool on first use.
@@ -32,18 +36,6 @@ int ParallelismDegree();
 /// (the thread is already inside a ParallelFor chunk). Exposed for the
 /// template below; also usable by callers sizing per-worker scratch.
 bool InsideParallelForChunk();
-
-/// Per-class CPU budget hook (docs/ARCHITECTURE.md "Execution tiers"): while
-/// `limit` > 0, at most `limit` threads (caller included) concurrently drain
-/// any one ParallelFor job — workers beyond the cap skip the job and serve
-/// queued tasks instead. The RT tier sets this while its lanes are busy so
-/// bulk fan-out leaves whole cores to the pinned lanes: chiefly a batch's
-/// per-sample fan-out (CompiledModel::ExecuteBatch), since a single layer
-/// fans out only above the GEMM floor (inference/gemm.cc). 0 restores the
-/// unclamped default. Advisory and racy by design: a worker already inside a
-/// chunk finishes it.
-void SetBulkHelperLimit(int limit);
-int BulkHelperLimit();
 
 /// Pool dispatch behind ParallelFor — call the template instead. The
 /// std::function is only ever constructed around a reference to the caller's

@@ -4,7 +4,6 @@
 #include <cerrno>
 
 #include "common/logging.h"
-#include "common/parallel_for.h"
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -13,41 +12,9 @@
 
 namespace sesemi {
 
-namespace {
-
-thread_local int t_rt_lane_index = -1;
-
-uint32_t RoundUpPow2(uint32_t v) {
-  if (v < 2) return 2;
-  v--;
-  v |= v >> 1;
-  v |= v >> 2;
-  v |= v >> 4;
-  v |= v >> 8;
-  v |= v >> 16;
-  return v + 1;
-}
-
-}  // namespace
-
-bool RtExecutor::OnRtLane() { return t_rt_lane_index >= 0; }
-
-int RtExecutor::LaneIndex() { return t_rt_lane_index; }
-
-RtExecutor::RtExecutor(const RtExecutorConfig& config) : config_(config) {
+RtExecutor::RtExecutor(const RtExecutorConfig& config, PumpFn pump, void* arg)
+    : config_(config), pump_(pump), arg_(arg) {
   config_.num_lanes = std::max(1, config_.num_lanes);
-  if (config_.clamp_bulk_while_busy) {
-    bulk_helper_cap_ = config_.bulk_helpers_while_busy > 0
-                           ? config_.bulk_helpers_while_busy
-                           : std::max(1, ParallelismDegree() - config_.num_lanes);
-  }
-
-  const uint32_t capacity = RoundUpPow2(std::max<uint32_t>(config_.queue_capacity, 2));
-  ring_mask_ = capacity - 1;
-  slots_ = std::make_unique<Slot[]>(capacity);
-  for (uint32_t i = 0; i < capacity; ++i) {
-    slots_[i].seq.store(i, std::memory_order_relaxed);
-  }
 
   threads_.reserve(static_cast<size_t>(config_.num_lanes));
   for (int i = 0; i < config_.num_lanes; ++i) {
@@ -55,7 +22,7 @@ RtExecutor::RtExecutor(const RtExecutorConfig& config) : config_(config) {
   }
   // Block until every lane has applied (or failed to apply) its pinning and
   // priority, so stats().pinned/elevated are deterministic from construction
-  // and no submit can race a half-built lane set.
+  // and no kick can race a half-built lane set.
   while (lanes_started_.load(std::memory_order_acquire) < config_.num_lanes) {
     std::this_thread::yield();
   }
@@ -63,61 +30,14 @@ RtExecutor::RtExecutor(const RtExecutorConfig& config) : config_(config) {
 
 RtExecutor::~RtExecutor() {
   stop_.store(true, std::memory_order_release);
-  // One token per lane: each post-stop lane consumes at most one (it drains
-  // the ring and exits instead of re-parking), so every parked lane wakes.
-  ready_.release(static_cast<std::ptrdiff_t>(threads_.size()));
+  // One token per lane. A lane exits at the first token it takes after the
+  // stop store, so every parked lane wakes and untaken tokens are dropped.
+  doorbell_.release(static_cast<std::ptrdiff_t>(threads_.size()));
   for (std::thread& t : threads_) t.join();
-  // Lanes drained the ring before exiting; nothing queued can dangle.
 }
 
-bool RtExecutor::Submit(JobFn fn, void* arg) {
-  if (stop_.load(std::memory_order_acquire)) return false;
-
-  uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    Slot& slot = slots_[pos & ring_mask_];
-    const uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    const int64_t diff = static_cast<int64_t>(seq) - static_cast<int64_t>(pos);
-    if (diff == 0) {
-      if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                             std::memory_order_relaxed)) {
-        slot.fn = fn;
-        slot.arg = arg;
-        slot.seq.store(pos + 1, std::memory_order_release);
-        submitted_.fetch_add(1, std::memory_order_relaxed);
-        ready_.release();
-        return true;
-      }
-    } else if (diff < 0) {
-      // The slot one full lap behind is still unconsumed: ring full.
-      rejected_full_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    } else {
-      pos = enqueue_pos_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
-bool RtExecutor::TryPop(JobFn* fn, void** arg) {
-  uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    Slot& slot = slots_[pos & ring_mask_];
-    const uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    const int64_t diff = static_cast<int64_t>(seq) - static_cast<int64_t>(pos + 1);
-    if (diff == 0) {
-      if (dequeue_pos_.compare_exchange_weak(pos, pos + 1,
-                                             std::memory_order_relaxed)) {
-        *fn = slot.fn;
-        *arg = slot.arg;
-        slot.seq.store(pos + ring_mask_ + 1, std::memory_order_release);
-        return true;
-      }
-    } else if (diff < 0) {
-      return false;  // empty
-    } else {
-      pos = dequeue_pos_.load(std::memory_order_relaxed);
-    }
-  }
+void RtExecutor::Kick(int n) {
+  if (n > 0) doorbell_.release(n);
 }
 
 void RtExecutor::ApplyLaneScheduling(int lane) {
@@ -166,48 +86,18 @@ void RtExecutor::ApplyLaneScheduling(int lane) {
 #endif
 }
 
-void RtExecutor::EnterBusy() {
-  const int prev = busy_lanes_.fetch_add(1, std::memory_order_acq_rel);
-  if (prev == 0 && bulk_helper_cap_ > 0) SetBulkHelperLimit(bulk_helper_cap_);
-}
-
-void RtExecutor::LeaveBusy() {
-  const int prev = busy_lanes_.fetch_sub(1, std::memory_order_acq_rel);
-  if (prev == 1 && bulk_helper_cap_ > 0) SetBulkHelperLimit(0);
-}
-
 void RtExecutor::LaneLoop(int lane) {
-  t_rt_lane_index = lane;
   ScopedExecTier tier(ExecTier::kRealtime);
   ApplyLaneScheduling(lane);
   lanes_started_.fetch_add(1, std::memory_order_release);
 
-  JobFn fn = nullptr;
-  void* arg = nullptr;
   for (;;) {
-    // Pop before blocking, and block at once when the ring is empty. A lane
-    // can pop a job without taking its token, so leftover tokens are normal;
-    // each costs one non-blocking acquire and one empty pop. Never spin (see
-    // the header), and never wait for a slot another submitter claimed but
-    // has not published: that submitter may be preempted on this lane's
-    // core, and its own token wakes the lane once the slot is published.
-    if (!TryPop(&fn, &arg)) {
-      if (stop_.load(std::memory_order_acquire)) {
-        // Drain remaining jobs so nothing queued is abandoned, then exit.
-        while (TryPop(&fn, &arg)) {
-          EnterBusy();
-          fn(arg);
-          LeaveBusy();
-          executed_.fetch_add(1, std::memory_order_relaxed);
-        }
-        return;
-      }
-      ready_.acquire();
-      continue;
-    }
-    EnterBusy();
-    fn(arg);
-    LeaveBusy();
+    // Block at once: a lane never spins (see the header).
+    doorbell_.acquire();
+    if (stop_.load(std::memory_order_acquire)) return;
+    busy_lanes_.fetch_add(1, std::memory_order_relaxed);
+    pump_(arg_, lane);
+    busy_lanes_.fetch_sub(1, std::memory_order_relaxed);
     executed_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -216,9 +106,7 @@ RtExecutorStats RtExecutor::stats() const {
   RtExecutorStats s;
   s.lanes = static_cast<int>(threads_.size());
   s.busy_lanes = busy_lanes_.load(std::memory_order_relaxed);
-  s.submitted = submitted_.load(std::memory_order_relaxed);
   s.executed = executed_.load(std::memory_order_relaxed);
-  s.rejected_full = rejected_full_.load(std::memory_order_relaxed);
   s.pinned = config_.pin_threads && !pin_failed_.load(std::memory_order_relaxed);
   s.elevated =
       config_.elevate_priority && !elevate_failed_.load(std::memory_order_relaxed);

@@ -2,22 +2,6 @@
 
 namespace sesemi::model {
 
-const char* ToString(LayerKind kind) {
-  switch (kind) {
-    case LayerKind::kInput: return "input";
-    case LayerKind::kConv2d: return "conv2d";
-    case LayerKind::kDepthwiseConv2d: return "dwconv2d";
-    case LayerKind::kDense: return "dense";
-    case LayerKind::kRelu: return "relu";
-    case LayerKind::kMaxPool: return "maxpool";
-    case LayerKind::kGlobalAvgPool: return "gap";
-    case LayerKind::kAdd: return "add";
-    case LayerKind::kConcat: return "concat";
-    case LayerKind::kSoftmax: return "softmax";
-  }
-  return "unknown";
-}
-
 int32_t ModelGraph::OutputClasses() const {
   for (auto it = layers.rbegin(); it != layers.rend(); ++it) {
     if (it->kind == LayerKind::kDense) return it->units;
@@ -99,12 +83,6 @@ Status ModelGraph::Validate() const {
     }
   }
   return Status::OK();
-}
-
-uint64_t ModelGraph::TotalActivationElements() const {
-  uint64_t total = 0;
-  for (const Layer& layer : layers) total += layer.output_shape.elements();
-  return total;
 }
 
 }  // namespace sesemi::model

@@ -39,8 +39,6 @@ enum class LayerKind : uint8_t {
   kSoftmax = 9,          ///< over the flattened input
 };
 
-const char* ToString(LayerKind kind);
-
 /// One node in the dataflow graph. `inputs` index earlier layers; layer 0 is
 /// always the kInput placeholder. Weighted layers view a slice
 /// [weight_offset, weight_offset + weight_count) of the model's weight blob.
@@ -76,10 +74,6 @@ struct ModelGraph {
   /// Structural validation: topological input order, shape agreement for
   /// Add/Concat, weight slices within bounds, exactly one kInput at index 0.
   Status Validate() const;
-
-  /// Peak number of float elements needed for single-buffer-per-layer
-  /// execution (all layer outputs live); the interpreter arena bound.
-  uint64_t TotalActivationElements() const;
 };
 
 }  // namespace sesemi::model

@@ -6,14 +6,6 @@
 
 namespace sesemi::model {
 
-uint64_t ModelQuant::QuantizedBytes() const {
-  uint64_t total = 0;
-  for (const LayerQuant& lq : layers) {
-    total += lq.weights.size() * sizeof(int8_t) + lq.scales.size() * sizeof(float);
-  }
-  return total;
-}
-
 bool LayerQuantizable(const Layer& layer) {
   return layer.kind == LayerKind::kConv2d || layer.kind == LayerKind::kDense;
 }

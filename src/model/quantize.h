@@ -29,9 +29,6 @@ struct ModelQuant {
   std::vector<LayerQuant> layers;
 
   bool empty() const { return layers.empty(); }
-
-  /// Resident bytes of the int8 matrices + fp32 scales.
-  uint64_t QuantizedBytes() const;
 };
 
 /// True for layer kinds the int8 tier executes (kConv2d, kDense with a full

@@ -17,14 +17,6 @@ const char* ToString(Architecture arch) {
   return "unknown";
 }
 
-Result<Architecture> ArchitectureFromString(const std::string& name) {
-  if (name == "mbnet") return Architecture::kMbNet;
-  if (name == "rsnet") return Architecture::kRsNet;
-  if (name == "dsnet") return Architecture::kDsNet;
-  if (name == "hybnet") return Architecture::kHybNet;
-  return Status::InvalidArgument("unknown architecture: " + name);
-}
-
 uint64_t PaperModelBytes(Architecture arch) {
   switch (arch) {
     case Architecture::kMbNet: return 17ull << 20;

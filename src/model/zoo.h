@@ -13,7 +13,6 @@ namespace sesemi::model {
 enum class Architecture { kMbNet, kRsNet, kDsNet, kHybNet };
 
 const char* ToString(Architecture arch);
-Result<Architecture> ArchitectureFromString(const std::string& name);
 
 /// Serialized size of the paper's models (Table I): MobileNetV1 17 MB,
 /// ResNet101v2 170 MB, DenseNet121 44 MB. kHybNet is not a paper model; its

@@ -74,16 +74,6 @@ thread_local ThreadSlot t_slot;
 thread_local TraceContext t_current;
 
 std::atomic<uint64_t> g_next_id{1};
-std::atomic<Clock*> g_clock{nullptr};
-
-TimeMicros SteadyNowMicros() {
-  // One process-wide origin: spans from every component share a time base.
-  static const std::chrono::steady_clock::time_point origin =
-      std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - origin)
-      .count();
-}
 
 SpanRing* RingForThisThread() {
   Registry& registry = GetRegistry();
@@ -112,12 +102,12 @@ void Tracer::Disable() {
 }
 
 TimeMicros Tracer::Now() {
-  Clock* clock = g_clock.load(std::memory_order_acquire);
-  return clock != nullptr ? clock->Now() : SteadyNowMicros();
-}
-
-void Tracer::SetClock(Clock* clock) {
-  g_clock.store(clock, std::memory_order_release);
+  // One process-wide origin: spans from every component share a time base.
+  static const std::chrono::steady_clock::time_point origin =
+      std::chrono::steady_clock::now();
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - origin)
+      .count();
 }
 
 void Tracer::Reset(size_t ring_capacity) {

@@ -52,12 +52,4 @@ Result<std::pair<Bytes, Bytes>> KeyServiceLink::FetchKeys(
   return keyservice::ParseProvisionedKeys(response.payload);
 }
 
-void KeyServiceLink::ResetSession() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (session_.has_value() && server_ != nullptr) {
-    server_->Disconnect(session_id_);
-  }
-  session_.reset();
-}
-
 }  // namespace sesemi::semirt

@@ -34,9 +34,6 @@ class KeyServiceLink {
   /// paper's warm/hot paths rely on this staying at 1).
   int attestation_count() const { return attestation_count_; }
 
-  /// Drop the cached session (simulates KeyService restart / network reset).
-  void ResetSession();
-
  private:
   Status EnsureSession(sgx::Enclave* enclave);
 

@@ -69,16 +69,6 @@ void RoundScores(Bytes* raw_output, int decimals) {
 }
 }  // namespace
 
-const char* ToString(RuntimeMode mode) {
-  switch (mode) {
-    case RuntimeMode::kSesemi: return "sesemi";
-    case RuntimeMode::kIsoReuse: return "iso-reuse";
-    case RuntimeMode::kNative: return "native";
-    case RuntimeMode::kUntrusted: return "untrusted";
-  }
-  return "unknown";
-}
-
 const char* ToString(InvocationKind kind) {
   switch (kind) {
     case InvocationKind::kCold: return "cold";

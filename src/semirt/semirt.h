@@ -28,8 +28,6 @@ namespace sesemi::semirt {
 ///    "Untrusted"); model reuse across requests gives "Untrusted (reuse)".
 enum class RuntimeMode { kSesemi, kIsoReuse, kNative, kUntrusted };
 
-const char* ToString(RuntimeMode mode);
-
 /// Classification of an invocation per Figure 4.
 enum class InvocationKind { kCold, kWarm, kHot };
 

@@ -71,7 +71,12 @@ ServerlessPlatform::ServerlessPlatform(const PlatformConfig& config,
         std::clamp(config_.rt.classes, 1, sched::kNumPriorityClasses);
     rt_mask_ = sched::ClassMaskUpTo(classes);
     bulk_mask_ = sched::kAllClasses & ~rt_mask_;
-    rt_exec_ = std::make_unique<RtExecutor>(config_.rt.executor);
+    rt_exec_ = std::make_unique<RtExecutor>(
+        config_.rt.executor,
+        [](void* self, int lane) {
+          static_cast<ServerlessPlatform*>(self)->RtPump(lane);
+        },
+        this);
   }
 }
 
@@ -84,9 +89,9 @@ ServerlessPlatform::~ServerlessPlatform() {
     std::lock_guard<std::mutex> lock(dispatch_mutex_);
     dispatch_paused_ = false;  // parked backlog must drain, not execute
   }
-  // Retire the RT lanes before draining: queued pump jobs run (and see
-  // shutting_down_, so they pop nothing), in-flight RT dispatches finish,
-  // and no lane can touch the scheduler once the drains below start.
+  // Retire the RT lanes before draining: in-flight RT dispatches finish,
+  // untaken doorbell tokens are dropped, and no lane can touch the scheduler
+  // once the drains below start.
   rt_exec_.reset();
   DrainForShutdown();
   async_tasks_.Wait();
@@ -291,6 +296,13 @@ Result<ServerlessPlatform::Container*> ServerlessPlatform::AcquireContainer(
   // its fate, so this races with nothing).
   for (;;) {
     index = PopWarmSlot(shard);
+    if (index == kNilSlot) {
+      // A keep-alive sweep holds the whole freelist under the shard mutex
+      // while it regroups it. Wait it out and pop once more, so a sweep never
+      // turns a warm acquisition into a cold start.
+      std::lock_guard<std::mutex> lock(shard->mutex);
+      index = PopWarmSlot(shard);
+    }
     if (index == kNilSlot) break;
     container = SlotAt(*shard, index)->container.load(std::memory_order_relaxed);
     if (!container->poisoned.load(std::memory_order_acquire)) break;
@@ -455,43 +467,26 @@ std::future<InvocationResult> ServerlessPlatform::InvokeAsync(
     return future;
   }
 
-  // Ring the doorbell of the tier that pops the class the request queued in.
+  // Ring the doorbell of the tier that pops the class the request queued in:
+  // one RT token per request queued in an RT class, taken without a lock.
   if ((sched::ClassMaskOf(*queued_class) & rt_mask_) != 0) {
-    KickRtLane();
+    rt_exec_->Kick();
   } else {
     MaybeSpawnDispatcher();
   }
   return future;
 }
 
-void ServerlessPlatform::RtPumpTrampoline(void* self) {
-  static_cast<ServerlessPlatform*>(self)->RtPump();
-}
-
-void ServerlessPlatform::KickRtLane() {
-  {
-    std::lock_guard<std::mutex> lock(dispatch_mutex_);
-    if (dispatch_paused_) return;  // ResumeDispatch re-rings per queued request
-  }
-  // Zero-allocation handoff: one slot-ring publish + one semaphore release.
-  if (rt_exec_->Submit(&RtPumpTrampoline, this)) return;
-  // Ring full — the interactive classes are severely oversubscribed. Degrade
-  // to a shared-pool task running the same pump, so the request is late
-  // rather than stranded.
-  counters_.rt_fallbacks.Inc();
-  async_tasks_.Submit([this] { RtPump(); });
-}
-
-void ServerlessPlatform::RtPump() {
+void ServerlessPlatform::RtPump(int lane) {
   if (shutting_down_.load(std::memory_order_acquire)) {
     return;  // the destructor's drain resolves whatever is queued
   }
   {
     std::lock_guard<std::mutex> lock(dispatch_mutex_);
-    if (dispatch_paused_) return;
+    if (dispatch_paused_) return;  // ResumeDispatch re-rings per queued request
   }
   // Popping nothing means another lane raced us (or everything was shed).
-  DispatchNext(rt_mask_, RtExecutor::LaneIndex());
+  DispatchNext(rt_mask_, lane);
 }
 
 void ServerlessPlatform::MaybeSpawnDispatcher() {
@@ -546,9 +541,8 @@ void ServerlessPlatform::ResumeDispatch() {
   const size_t depth = scheduler_.DepthInClasses(bulk_mask_);
   for (size_t i = 0; i < depth; ++i) MaybeSpawnDispatcher();
   if (rt_exec_ != nullptr) {
-    // One doorbell per parked RT request; surplus pumps pop nothing and exit.
-    const size_t rt_depth = scheduler_.DepthInClasses(rt_mask_);
-    for (size_t i = 0; i < rt_depth; ++i) KickRtLane();
+    // One token per parked RT request; surplus pumps pop nothing and return.
+    rt_exec_->Kick(static_cast<int>(scheduler_.DepthInClasses(rt_mask_)));
   }
 }
 
@@ -753,8 +747,9 @@ int ServerlessPlatform::ReapShard(FunctionShard* shard, TimeMicros now) {
 
   // Steal the whole freelist in one CAS; we then own the chain exclusively
   // (in-progress pops that loaded the old head fail their CAS on the bumped
-  // tag). Warm acquisitions racing with the sweep see an empty list and may
-  // cold-start spuriously — harmless, and only within the sweep's window.
+  // tag). A warm acquisition that finds the list empty meanwhile pops again
+  // under this mutex (AcquireContainer), so it gets a survivor's token
+  // instead of cold-starting a container.
   uint64_t head = shard->free_head.load(std::memory_order_acquire);
   for (;;) {
     const uint64_t want = PackHead(HeadTag(head) + 1, kNilSlot);
@@ -933,10 +928,6 @@ void ServerlessPlatform::RegisterMetrics(
           gauge("sesemi_rt_lanes", rt.lanes);
           gauge("sesemi_rt_busy_lanes", rt.busy_lanes);
           counter("sesemi_rt_dispatches_total", p.rt_dispatches, labels);
-          counter("sesemi_rt_fallbacks_total", p.rt_fallbacks, labels);
-          samples.push_back(obs::MakeCounterSample(
-              "sesemi_rt_rejected_full_total",
-              static_cast<double>(rt.rejected_full), labels));
           gauge("sesemi_rt_interactive_depth",
                 static_cast<double>(interactive_depth()));
         }

@@ -34,7 +34,7 @@ struct RtTierConfig {
   /// Priority classes [0, classes) route to the RT tier; the rest keep the
   /// shared-pool dispatchers. Clamped to [1, kNumPriorityClasses].
   int classes = 1;
-  /// The lanes themselves: count, pinning, handoff ring, bulk clamp.
+  /// The lanes themselves: count and pinning.
   RtExecutorConfig executor;
 };
 
@@ -94,9 +94,8 @@ struct PlatformCounters {
   obs::Counter retries;            ///< idempotent-stage retry attempts
   obs::Counter deadline_cuts;      ///< invocations cut by the execution deadline
   obs::Counter shutdown_drops;     ///< futures resolved Unavailable at shutdown
-  // RT tier (both stay 0 while it is disabled).
+  // RT tier (stays 0 while it is disabled).
   obs::Counter rt_dispatches;  ///< requests executed on RT lanes
-  obs::Counter rt_fallbacks;   ///< ring-full degradations to the shared pool
 };
 
 /// Everything one asynchronous invocation produces: the sealed response (or
@@ -206,7 +205,7 @@ class ServerlessPlatform {
   /// dispatches, batches) and per-function queue stats.
   const sched::RequestScheduler& scheduler() const { return scheduler_; }
 
-  /// The RT lanes (occupancy, ring rejections, pinning), or null while the
+  /// The RT lanes (occupancy, pinning), or null while the
   /// tier is disabled.
   const RtExecutor* rt_executor() const { return rt_exec_.get(); }
 
@@ -363,14 +362,10 @@ class ServerlessPlatform {
   /// results and spans.
   void Execute(std::vector<sched::QueuedRequest> unit, int rt_lane);
 
-  /// RT-tier routing (called only while config_.rt.enabled): hand one pump
-  /// job to the RT lanes; on a full ring, degrade to a shared-pool task so
-  /// the request never strands (counted as a fallback).
-  void KickRtLane();
-  /// One RT dispatch: pop one interactive-class unit and execute it on the
-  /// calling lane.
-  void RtPump();
-  static void RtPumpTrampoline(void* self);
+  /// The RT lanes' pump, run once per doorbell token (one token per request
+  /// queued in an RT class): pop one interactive-class unit and execute it on
+  /// `lane`, the calling lane.
+  void RtPump(int lane);
   /// Feed the per-class wait/exec histograms (no-op until RegisterMetrics).
   void ObserveClassLatency(int cls, TimeMicros wait, TimeMicros exec);
 

@@ -9,10 +9,6 @@ const char* ToString(SgxGeneration gen) {
   return gen == SgxGeneration::kSgx1 ? "SGX1" : "SGX2";
 }
 
-const char* ToString(AttestationType type) {
-  return type == AttestationType::kEpid ? "EPID" : "ECDSA";
-}
-
 Bytes AttestationReport::SerializeForMac() const {
   ByteWriter w;
   w.WriteBytes(mrenclave.span());

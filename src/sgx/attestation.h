@@ -24,7 +24,6 @@ enum class SgxGeneration { kSgx1, kSgx2 };
 enum class AttestationType { kEpid, kEcdsa };
 
 const char* ToString(SgxGeneration gen);
-const char* ToString(AttestationType type);
 
 /// Size of the user-data field bound into a report (SGX uses 64 bytes; we
 /// store a SHA-256 of the channel key plus 32 spare bytes, like RA-TLS).

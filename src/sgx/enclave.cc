@@ -6,15 +6,6 @@
 
 namespace sesemi::sgx {
 
-TcsGuard& TcsGuard::operator=(TcsGuard&& other) noexcept {
-  if (this != &other) {
-    if (enclave_ != nullptr) enclave_->ExitEcall();
-    enclave_ = other.enclave_;
-    other.enclave_ = nullptr;
-  }
-  return *this;
-}
-
 TcsGuard::~TcsGuard() {
   if (enclave_ != nullptr) enclave_->ExitEcall();
 }

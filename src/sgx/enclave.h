@@ -24,7 +24,6 @@ class TcsGuard {
   TcsGuard(TcsGuard&& other) noexcept : enclave_(other.enclave_) {
     other.enclave_ = nullptr;
   }
-  TcsGuard& operator=(TcsGuard&& other) noexcept;
   TcsGuard(const TcsGuard&) = delete;
   TcsGuard& operator=(const TcsGuard&) = delete;
   ~TcsGuard();

@@ -750,10 +750,8 @@ TEST_F(ObsLiveTest, ExportedMetricContractOnClusterStack) {
       {"sesemi_router_routed_total", {"", 1}},
       {"sesemi_rt_busy_lanes", {"node", 2}},
       {"sesemi_rt_dispatches_total", {"node", 2}},
-      {"sesemi_rt_fallbacks_total", {"node", 2}},
       {"sesemi_rt_interactive_depth", {"node", 2}},
       {"sesemi_rt_lanes", {"node", 2}},
-      {"sesemi_rt_rejected_full_total", {"node", 2}},
       {"sesemi_rt_tier_enabled", {"node", 2}},
       {"sesemi_sched_admitted_total", {"node", 2}},
       {"sesemi_sched_avg_batch_size", {"node", 2}},

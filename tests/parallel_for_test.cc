@@ -151,32 +151,5 @@ TEST(ParallelForTest, RealtimeTierRunsInline) {
   EXPECT_EQ(*threads.begin(), std::this_thread::get_id());
 }
 
-TEST(ParallelForTest, BulkHelperLimitBoundsWorkersPerJob) {
-  if (ParallelismDegree() < 3) GTEST_SKIP() << "needs a multi-core pool";
-  ASSERT_EQ(BulkHelperLimit(), 0);
-  SetBulkHelperLimit(1);
-
-  // With the clamp at 1 only the caller may drain the job; pool workers must
-  // skip it. Track distinct participating threads over a long-enough run
-  // that unclamped workers would certainly join (they do in the unclamped
-  // sibling tests above).
-  std::mutex mutex;
-  std::set<std::thread::id> threads;
-  ParallelFor(0, 20000, 1, [&](int64_t, int64_t) {
-    std::lock_guard<std::mutex> lock(mutex);
-    threads.insert(std::this_thread::get_id());
-  });
-  SetBulkHelperLimit(0);
-  EXPECT_LE(threads.size(), 1u);
-
-  // Clamp removed: parallelism is available again.
-  std::set<std::thread::id> after;
-  ParallelFor(0, 200000, 1, [&](int64_t, int64_t) {
-    std::lock_guard<std::mutex> lock(mutex);
-    after.insert(std::this_thread::get_id());
-  });
-  EXPECT_GE(after.size(), 1u);
-}
-
 }  // namespace
 }  // namespace sesemi

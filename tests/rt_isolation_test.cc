@@ -185,7 +185,6 @@ TEST_F(RtIsolationTest, RtDisabledKeepsSharedPathAndZeroStats) {
   // Tier disabled: no executor, hence no lanes, and no RT dispatches.
   EXPECT_EQ(platform_->rt_executor(), nullptr);
   EXPECT_EQ(platform_->counters().rt_dispatches.Value(), 0u);
-  EXPECT_EQ(platform_->counters().rt_fallbacks.Value(), 0u);
 }
 
 /// A per-call priority outside [0, kNumPriorityClasses) is clamped, and a

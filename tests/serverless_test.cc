@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <deque>
 #include <future>
 #include <map>
 #include <thread>
@@ -133,6 +134,51 @@ TEST_F(ServerlessTest, KeepAliveReapsIdleContainers) {
   bool cold = false;
   ASSERT_TRUE(InvokeOnce("predict", &cold).ok());
   EXPECT_TRUE(cold);
+}
+
+// A keep-alive sweep takes the whole warm freelist while it regroups it. A
+// request that acquires during the sweep must wait for the survivors' tokens,
+// not cold-start another container: with a ManualClock nothing ever expires,
+// so one 16-TCS container serves every request however often sweeps run.
+TEST_F(ServerlessTest, KeepAliveSweepNeverColdStartsAWarmFunction) {
+  semirt::SemirtOptions options;
+  options.num_tcs = 16;
+  DeployAndAuthorize("predict", options);
+  ASSERT_TRUE(InvokeOnce("predict").ok());  // the one cold start
+
+  // Built up front: the client is not safe to share with the sweeper thread.
+  std::vector<semirt::InferenceRequest> requests;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    auto request =
+        user_->BuildRequest("m0", model::GenerateRandomInput(graph_, seed));
+    ASSERT_TRUE(request.ok());
+    requests.push_back(std::move(*request));
+  }
+
+  constexpr int kRequests = 1000;
+  constexpr size_t kInFlight = 8;
+  std::atomic<bool> done{false};
+  std::thread sweeper([&] {
+    while (!done.load(std::memory_order_relaxed)) platform_->ReapIdleContainers();
+  });
+  int failed = 0;
+  std::deque<std::future<InvocationResult>> inflight;
+  for (int i = 0; i < kRequests || !inflight.empty();) {
+    if (i < kRequests && inflight.size() < kInFlight) {
+      inflight.push_back(
+          platform_->InvokeAsync("predict", requests[i % requests.size()]));
+      ++i;
+      continue;
+    }
+    if (!inflight.front().get().response.ok()) ++failed;
+    inflight.pop_front();
+  }
+  done.store(true, std::memory_order_relaxed);
+  sweeper.join();
+
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(platform_->counters().cold_starts.Value(), 1u);
+  EXPECT_EQ(platform_->ContainerCount("predict"), 1);
 }
 
 TEST_F(ServerlessTest, MemoryExhaustionSurfaces) {
