@@ -10,6 +10,12 @@ namespace sesemi::cluster {
 
 using serverless::InvocationResult;
 
+namespace {
+/// Nodes tried per request (the chosen node, then fallbacks in ring
+/// preference order) before the request resolves with typed Unavailable.
+constexpr size_t kRerouteAttempts = 3;
+}  // namespace
+
 std::string NodeDispatchFaultPoint(int node) {
   return "cluster.node." + std::to_string(node) + ".dispatch";
 }
@@ -113,8 +119,7 @@ std::future<InvocationResult> ClusterDataplane::InvokeAsync(
   // preference order so the steal target is deterministic.
   bool stolen = false;
   const TimeMicros now = clock_->Now();
-  if (config_.enable_stealing &&
-      nodes_[static_cast<size_t>(first)]->platform->ContainerCount(function) == 0) {
+  if (nodes_[static_cast<size_t>(first)]->platform->ContainerCount(function) == 0) {
     for (int candidate : preference) {
       if (candidate == first) continue;
       NodeState* state = nodes_[static_cast<size_t>(candidate)].get();
@@ -129,16 +134,14 @@ std::future<InvocationResult> ClusterDataplane::InvokeAsync(
   }
 
   // Attempt order: chosen target first, then the remaining preference order,
-  // capped at reroute_attempts.
+  // capped at kRerouteAttempts.
   std::vector<int> attempts;
   attempts.reserve(preference.size());
   attempts.push_back(first);
   for (int candidate : preference) {
     if (candidate != first) attempts.push_back(candidate);
   }
-  const size_t max_attempts =
-      std::max<size_t>(1, static_cast<size_t>(config_.reroute_attempts));
-  if (attempts.size() > max_attempts) attempts.resize(max_attempts);
+  if (attempts.size() > kRerouteAttempts) attempts.resize(kRerouteAttempts);
 
   // Pass 1 honors health cooldowns; pass 2 ignores them so a fully-ejected
   // cluster still probes for recovery instead of going dark.

@@ -30,13 +30,6 @@ struct ClusterConfig {
   serverless::PlatformConfig node;
   HashRingConfig ring;
   AutoscaleConfig autoscale;
-  /// Cross-node warm-slot stealing: when the routed node has no live
-  /// container for the function but another active node does, route there
-  /// instead of paying a cold start.
-  bool enable_stealing = true;
-  /// Nodes tried per request (home + fallbacks in ring preference order)
-  /// before the request resolves with typed Unavailable.
-  int reroute_attempts = 3;
   /// How long a node stays ejected from routing after a dispatch failure.
   TimeMicros health_cooldown = SecondsToMicros(0.05);
 };
@@ -80,8 +73,8 @@ std::string NodeDispatchFaultPoint(int node);
 ///     warm node — a queued dispatch there beats a cold start at home;
 ///  3. health: a node whose dispatch probe fails is ejected for
 ///     health_cooldown and the request reroutes along the ring preference
-///     order; when every attempt fails the future resolves with typed
-///     Unavailable (never an exception, never a hang).
+///     order (three nodes at most); when every attempt fails the future
+///     resolves with typed Unavailable (never an exception, never a hang).
 ///
 /// \threadsafety All public methods are safe to call concurrently.
 /// AutoscaleTick serializes on its own mutex; membership reads on the

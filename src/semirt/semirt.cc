@@ -90,10 +90,12 @@ sgx::Measurement SemirtInstance::MeasurementFor(const SemirtOptions& options) {
   return ImageFor(options).mrenclave();
 }
 
-Result<std::unique_ptr<SemirtInstance>> SemirtInstance::Create(
-    sgx::SgxPlatform* platform, const SemirtOptions& options,
-    storage::ObjectStore* storage, keyservice::KeyServiceServer* keyservice) {
-  if (options.mode != RuntimeMode::kUntrusted && keyservice == nullptr) {
+Status ValidateOptions(const SemirtOptions& options, bool has_keyservice) {
+  if (options.num_tcs < 1 || options.num_tcs > kMaxTcs) {
+    return Status::InvalidArgument("num_tcs must be in [1, " +
+                                   std::to_string(kMaxTcs) + "]");
+  }
+  if (options.mode != RuntimeMode::kUntrusted && !has_keyservice) {
     return Status::InvalidArgument("trusted modes require a KeyService");
   }
   if (options.sequential_mode && options.num_tcs != 1) {
@@ -103,6 +105,13 @@ Result<std::unique_ptr<SemirtInstance>> SemirtInstance::Create(
     return Status::InvalidArgument(
         "the Native baseline launches one enclave per request (num_tcs == 1)");
   }
+  return Status::OK();
+}
+
+Result<std::unique_ptr<SemirtInstance>> SemirtInstance::Create(
+    sgx::SgxPlatform* platform, const SemirtOptions& options,
+    storage::ObjectStore* storage, keyservice::KeyServiceServer* keyservice) {
+  SESEMI_RETURN_IF_ERROR(ValidateOptions(options, keyservice != nullptr));
   if (storage == nullptr) {
     return Status::InvalidArgument("storage is required");
   }
@@ -123,13 +132,9 @@ SemirtInstance::SemirtInstance(sgx::SgxPlatform* platform, SemirtOptions options
           options_.framework,
           inference::FrameworkOptions{.quantize = options_.quantize})),
       contexts_(options_.num_tcs),
-      use_slot_bitmap_(options_.num_tcs <= 64) {
-  if (use_slot_bitmap_) {
-    const uint32_t n = options_.num_tcs;
-    free_slot_bits_.store(n >= 64 ? ~0ull : (1ull << n) - 1,
-                          std::memory_order_relaxed);
-  }
-}
+      free_slot_bits_(options_.num_tcs == kMaxTcs
+                          ? ~0ull
+                          : (1ull << options_.num_tcs) - 1) {}
 
 SemirtInstance::~SemirtInstance() { ClearExecutionContext(); }
 
@@ -183,50 +188,30 @@ int SemirtInstance::TryAcquireSlotFast() {
 }
 
 int SemirtInstance::AcquireSlot() {
-  if (use_slot_bitmap_) {
-    int slot = TryAcquireSlotFast();
-    if (slot >= 0) return slot;
-    // All slots busy: park. The waiter count and the free-bit mask are both
-    // seq_cst, so either the releaser's load sees our increment (and
-    // notifies under the lock) or our re-try under the lock sees its freed
-    // bit — no lost wakeups, and idle releases skip the lock entirely.
-    std::unique_lock<std::mutex> lock(slot_mutex_);
-    slot_waiters_.fetch_add(1, std::memory_order_seq_cst);
-    for (;;) {
-      slot = TryAcquireSlotFast();
-      if (slot >= 0) {
-        slot_waiters_.fetch_sub(1, std::memory_order_seq_cst);
-        return slot;
-      }
-      slot_cv_.wait(lock);
-    }
-  }
+  int slot = TryAcquireSlotFast();
+  if (slot >= 0) return slot;
+  // All slots busy: park. The waiter count and the free-bit mask are both
+  // seq_cst, so either the releaser's load sees our increment (and notifies
+  // under the lock) or our re-try under the lock sees its freed bit — no
+  // lost wakeups, and idle releases skip the lock entirely.
   std::unique_lock<std::mutex> lock(slot_mutex_);
+  slot_waiters_.fetch_add(1, std::memory_order_seq_cst);
   for (;;) {
-    for (size_t i = 0; i < contexts_.size(); ++i) {
-      if (!contexts_[i].busy) {
-        contexts_[i].busy = true;
-        return static_cast<int>(i);
-      }
+    slot = TryAcquireSlotFast();
+    if (slot >= 0) {
+      slot_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+      return slot;
     }
     slot_cv_.wait(lock);
   }
 }
 
 void SemirtInstance::ReleaseSlot(int slot) {
-  if (use_slot_bitmap_) {
-    free_slot_bits_.fetch_or(1ull << slot, std::memory_order_seq_cst);
-    if (slot_waiters_.load(std::memory_order_seq_cst) > 0) {
-      std::lock_guard<std::mutex> lock(slot_mutex_);
-      slot_cv_.notify_one();
-    }
-    return;
-  }
-  {
+  free_slot_bits_.fetch_or(1ull << slot, std::memory_order_seq_cst);
+  if (slot_waiters_.load(std::memory_order_seq_cst) > 0) {
     std::lock_guard<std::mutex> lock(slot_mutex_);
-    contexts_[slot].busy = false;
+    slot_cv_.notify_one();
   }
-  slot_cv_.notify_one();
 }
 
 void SemirtInstance::DropRuntimeLocked(ThreadContext* ctx) {
@@ -319,13 +304,10 @@ void SemirtInstance::InstallModelLocked(
   // with the old model's charge. A held slot keeps its runtime until its own
   // EnsureRuntime; a slot taken after the read below reaches EnsureRuntime
   // only under mutex_, so nothing executes on a dropped runtime.
-  const uint64_t free_bits =
-      use_slot_bitmap_ ? free_slot_bits_.load(std::memory_order_seq_cst) : 0;
-  std::unique_lock<std::mutex> slots(slot_mutex_, std::defer_lock);
-  if (!use_slot_bitmap_) slots.lock();
+  const uint64_t free_bits = free_slot_bits_.load(std::memory_order_seq_cst);
   for (size_t i = 0; i < contexts_.size(); ++i) {
     ThreadContext& ctx = contexts_[i];
-    const bool idle = use_slot_bitmap_ ? ((free_bits >> i) & 1) != 0 : !ctx.busy;
+    const bool idle = ((free_bits >> i) & 1) != 0;
     if (idle && ctx.model_id != model_id) DropRuntimeLocked(&ctx);
   }
 }

@@ -55,6 +55,17 @@ struct SemirtOptions {
   int round_scores_decimals = 0;
 };
 
+/// Most TCS slots one instance may have: a slot is one bit of a 64-bit
+/// free-slot mask.
+inline constexpr uint32_t kMaxTcs = 64;
+
+/// The launch's checks on `options` alone: num_tcs in [1, kMaxTcs], one TCS
+/// for sequential mode and for the Native baseline, and a KeyService for
+/// every trusted mode. SemirtInstance::Create runs them at every launch; a
+/// platform runs them at deploy (ServerlessPlatform::DeployFunction), so a
+/// spec no launch can take is refused before it reaches a cold start.
+Status ValidateOptions(const SemirtOptions& options, bool has_keyservice);
+
 /// Per-request stage timings (live-mode measurements; the sim substitutes its
 /// calibrated cost model for the same stages).
 struct StageTimings {
@@ -103,8 +114,7 @@ struct SemirtStats {
 ///    threads concurrently; at most `num_tcs` execute inside at once (one
 ///    slot per pass, whatever its batch size), the rest block on TCS slot
 ///    acquisition exactly as on real SGX. Slot acquisition is a lock-free
-///    CAS on a free-slot bitmap when num_tcs <= 64 (a mutex scan otherwise);
-///    waiting uses a condition variable either way.
+///    CAS on a 64-bit free-slot mask; waiting uses a condition variable.
 ///  - A thread holding a slot has exclusive use of that slot's ThreadContext
 ///    (its model runtime and activation buffers); the instance mutex guards
 ///    the shared state — loaded-model cache, key cache, statistics — and the
@@ -126,8 +136,8 @@ struct SemirtStats {
 class SemirtInstance {
  public:
   /// Launch the instance: creates the enclave (the expensive part of a cold
-  /// start) and connects the KeyService link. `keyservice` may be null only
-  /// in kUntrusted mode.
+  /// start) and connects the KeyService link. `options` must pass
+  /// ValidateOptions; `keyservice` may be null only in kUntrusted mode.
   static Result<std::unique_ptr<SemirtInstance>> Create(
       sgx::SgxPlatform* platform, const SemirtOptions& options,
       storage::ObjectStore* storage, keyservice::KeyServiceServer* keyservice);
@@ -192,7 +202,6 @@ class SemirtInstance {
 
  private:
   struct ThreadContext {
-    bool busy = false;
     std::string model_id;
     std::unique_ptr<inference::ModelRuntime> runtime;
     uint64_t charged_bytes = 0;
@@ -271,13 +280,10 @@ class SemirtInstance {
   mutable std::mutex mutex_;
   std::vector<ThreadContext> contexts_;
 
-  // TCS slot pool. For num_tcs <= 64 acquisition is a CAS on the free-bit
-  // mask (bit i set = slot i free) so the request hot path never takes a
-  // lock; slot_mutex_/slot_cv_ only park threads when every slot is busy.
-  // Larger TCS counts fall back to a scan of ThreadContext::busy under
-  // slot_mutex_.
-  const bool use_slot_bitmap_;
-  std::atomic<uint64_t> free_slot_bits_{0};
+  // TCS slot pool. Acquisition is a CAS on the free-bit mask (bit i set =
+  // slot i free), so the request hot path never takes a lock;
+  // slot_mutex_/slot_cv_ only park threads when every slot is busy.
+  std::atomic<uint64_t> free_slot_bits_;
   std::atomic<int> slot_waiters_{0};  ///< parked threads; gates the notify
   std::mutex slot_mutex_;
   std::condition_variable slot_cv_;

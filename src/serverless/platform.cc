@@ -44,10 +44,6 @@ sched::SchedulerConfig WithDefaultLimits(sched::SchedulerConfig sched_config,
 }
 }  // namespace
 
-ServerlessPlatform::FunctionShard::~FunctionShard() {
-  for (auto& chunk : chunks) delete[] chunk.load(std::memory_order_relaxed);
-}
-
 ServerlessPlatform::ServerlessPlatform(const PlatformConfig& config,
                                        sgx::AttestationAuthority* authority,
                                        storage::ObjectStore* storage,
@@ -119,6 +115,10 @@ void ServerlessPlatform::DrainForShutdown() {
 }
 
 Status ServerlessPlatform::DeployFunction(const FunctionSpec& spec) {
+  // Refuse here what every launch would refuse: a bad spec must not reach
+  // ColdStart, where the launch failure would arm the node-wide relaunch gate.
+  SESEMI_RETURN_IF_ERROR(
+      semirt::ValidateOptions(spec.options, keyservice_ != nullptr));
   FunctionSpec normalized = spec;
   normalized.container_memory_bytes =
       RoundUpToGranularity(spec.container_memory_bytes);
@@ -133,7 +133,6 @@ Status ServerlessPlatform::DeployFunction(const FunctionSpec& spec) {
   auto [it, inserted] = functions_.try_emplace(spec.name, nullptr);
   (void)inserted;  // guaranteed by the contains() check under the same lock
   it->second = std::make_unique<FunctionShard>(std::move(normalized));
-  it->second->free_head.store(PackHead(0, kNilSlot), std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -142,62 +141,6 @@ ServerlessPlatform::FunctionShard* ServerlessPlatform::FindShard(
   std::shared_lock<std::shared_mutex> lock(functions_mutex_);
   auto it = functions_.find(function);
   return it == functions_.end() ? nullptr : it->second.get();
-}
-
-ServerlessPlatform::WarmSlot* ServerlessPlatform::SlotAt(const FunctionShard& shard,
-                                                         uint32_t index) const {
-  WarmSlot* chunk = shard.chunks[index / kSlotChunk].load(std::memory_order_acquire);
-  return &chunk[index % kSlotChunk];
-}
-
-// Lock-free pop (warm acquisition). The `next` read may be stale if another
-// thread pops or steals concurrently, but any such interleaving bumps the
-// head tag, so our CAS fails and we retry with fresh state.
-uint32_t ServerlessPlatform::PopWarmSlot(FunctionShard* shard) {
-  uint64_t head = shard->free_head.load(std::memory_order_acquire);
-  for (;;) {
-    const uint32_t index = HeadIndex(head);
-    if (index == kNilSlot) return kNilSlot;
-    const uint32_t next = SlotAt(*shard, index)->next.load(std::memory_order_relaxed);
-    const uint64_t want = PackHead(HeadTag(head) + 1, next);
-    if (shard->free_head.compare_exchange_weak(head, want,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-      return index;
-    }
-  }
-}
-
-void ServerlessPlatform::PushWarmSlot(FunctionShard* shard, uint32_t index,
-                                      Container* container) {
-  WarmSlot* slot = SlotAt(*shard, index);
-  slot->container.store(container, std::memory_order_relaxed);
-  uint64_t head = shard->free_head.load(std::memory_order_relaxed);
-  for (;;) {
-    slot->next.store(HeadIndex(head), std::memory_order_relaxed);
-    const uint64_t want = PackHead(HeadTag(head) + 1, index);
-    if (shard->free_head.compare_exchange_weak(head, want,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
-uint32_t ServerlessPlatform::AllocSlotRecordLocked(FunctionShard* shard) {
-  if (!shard->spare_slots.empty()) {
-    const uint32_t index = shard->spare_slots.back();
-    shard->spare_slots.pop_back();
-    return index;
-  }
-  const uint32_t index = shard->slot_count;
-  if (index >= kSlotChunk * kMaxChunks) return kNilSlot;
-  if (index % kSlotChunk == 0) {
-    shard->chunks[index / kSlotChunk].store(new WarmSlot[kSlotChunk],
-                                            std::memory_order_release);
-  }
-  shard->slot_count++;
-  return index;
 }
 
 bool ServerlessPlatform::TryReserveMemory(uint64_t bytes) {
@@ -213,7 +156,7 @@ bool ServerlessPlatform::TryReserveMemory(uint64_t bytes) {
 }
 
 Result<ServerlessPlatform::Container*> ServerlessPlatform::ColdStart(
-    FunctionShard* shard, uint32_t* slot_index) {
+    FunctionShard* shard) {
   obs::Span span(obs::spans::kColdStart);
   const FunctionSpec& spec = shard->spec;
   // Relaunch gate: after enclave *launch* failures, back off instead of
@@ -250,171 +193,83 @@ Result<ServerlessPlatform::Container*> ServerlessPlatform::ColdStart(
   if (pending > 0) counters_.relaunches.Inc();
 
   auto container = std::make_unique<Container>();
-  container->function = spec.name;
   container->memory_bytes = spec.container_memory_bytes;
   container->instance = std::move(*instance);
-  container->in_flight.store(1, std::memory_order_relaxed);
-  container->last_used.store(clock_->Now(), std::memory_order_relaxed);
+  container->busy = 1;  // the caller's slot
+  container->last_used = clock_->Now();
   Container* raw = container.get();
-
-  const uint32_t num_tcs = std::max<uint32_t>(1, spec.options.num_tcs);
-  std::vector<uint32_t> slots;
   {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    slots.reserve(num_tcs);
-    for (uint32_t i = 0; i < num_tcs; ++i) {
-      const uint32_t index = AllocSlotRecordLocked(shard);
-      if (index == kNilSlot) break;  // slot directory full; cap concurrency
-      slots.push_back(index);
-    }
-    if (slots.empty()) {
-      memory_used_.fetch_sub(spec.container_memory_bytes, std::memory_order_acq_rel);
-      return Status::ResourceExhausted("slot directory exhausted for " + spec.name);
-    }
-    container->num_tokens = static_cast<uint32_t>(slots.size());
     shard->containers.push_back(std::move(container));
+    shard->live.store(static_cast<int>(shard->containers.size()),
+                      std::memory_order_relaxed);
   }
-
-  // The caller keeps the first token; the rest become warm capacity.
-  *slot_index = slots.front();
-  SlotAt(*shard, *slot_index)->container.store(raw, std::memory_order_relaxed);
-  for (size_t i = 1; i < slots.size(); ++i) PushWarmSlot(shard, slots[i], raw);
-
   counters_.cold_starts.Inc();
   return raw;
 }
 
 Result<ServerlessPlatform::Container*> ServerlessPlatform::AcquireContainer(
-    FunctionShard* shard, const std::string& model_id, uint32_t* slot_index,
-    bool* cold) {
+    FunctionShard* shard, const std::string& model_id, bool* cold) {
   obs::Span span(obs::spans::kWarmAcquire);
-  *cold = false;
-  uint32_t index = kNilSlot;
+  const uint32_t num_tcs = shard->spec.options.num_tcs;
   Container* container = nullptr;
-  // Pop until a healthy token surfaces; poisoned containers' tokens are
-  // quarantined on sight (holding a token is the exclusive right to decide
-  // its fate, so this races with nothing).
-  for (;;) {
-    index = PopWarmSlot(shard);
-    if (index == kNilSlot) {
-      // A keep-alive sweep holds the whole freelist under the shard mutex
-      // while it regroups it. Wait it out and pop once more, so a sweep never
-      // turns a warm acquisition into a cold start.
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      index = PopWarmSlot(shard);
+  {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    // Fig. 4's hot path first: among healthy containers with a free slot,
+    // take one that already holds this request's model, else the most
+    // recently released one.
+    bool hot = false;
+    for (const std::unique_ptr<Container>& c : shard->containers) {
+      if (c->poisoned || c->busy >= num_tcs) continue;
+      const bool c_hot = c->instance->loaded_model_id() == model_id;
+      if (container == nullptr || c_hot > hot ||
+          (c_hot == hot && c->last_used >= container->last_used)) {
+        container = c.get();
+        hot = c_hot;
+      }
     }
-    if (index == kNilSlot) break;
-    container = SlotAt(*shard, index)->container.load(std::memory_order_relaxed);
-    if (!container->poisoned.load(std::memory_order_acquire)) break;
-    QuarantineSlot(shard, container, index);
-    MaybeRetireContainer(shard, container);
-    container = nullptr;
+    if (container != nullptr) container->busy++;
   }
-  if (index != kNilSlot) {
-    // Model affinity: LIFO already lands on the hottest container, but under
-    // pooled endpoints two warm containers may hold different models. Peek a
-    // bounded number of further tokens for one whose instance has this
-    // request's model loaded; return the rest. This recovers the seed's
-    // prefer-loaded-model scoring without a global scan or lock.
-    if (container->instance->loaded_model_id() != model_id) {
-      uint32_t returned[2];
-      Container* returned_owner[2];
-      int returned_count = 0;
-      for (int peek = 0; peek < 2; ++peek) {
-        const uint32_t other_index = PopWarmSlot(shard);
-        if (other_index == kNilSlot) break;
-        Container* other =
-            SlotAt(*shard, other_index)->container.load(std::memory_order_relaxed);
-        if (other->poisoned.load(std::memory_order_acquire)) {
-          QuarantineSlot(shard, other, other_index);
-          MaybeRetireContainer(shard, other);
-          continue;
-        }
-        if (other->instance->loaded_model_id() == model_id) {
-          returned[returned_count] = index;
-          returned_owner[returned_count++] = container;
-          index = other_index;
-          container = other;
-          break;
-        }
-        returned[returned_count] = other_index;
-        returned_owner[returned_count++] = other;
-      }
-      for (int i = returned_count - 1; i >= 0; --i) {
-        PushWarmSlot(shard, returned[i], returned_owner[i]);
-      }
-    }
-    container->in_flight.fetch_add(1, std::memory_order_acq_rel);
-  } else {
-    SESEMI_ASSIGN_OR_RETURN(container, ColdStart(shard, &index));
-    *cold = true;
+  *cold = container == nullptr;
+  if (*cold) {
+    SESEMI_ASSIGN_OR_RETURN(container, ColdStart(shard));
   }
   span.set_arg("cold", *cold ? 1 : 0);
-  *slot_index = index;
   return container;
 }
 
 void ServerlessPlatform::ReleaseContainer(FunctionShard* shard,
-                                          Container* container,
-                                          uint32_t slot_index) {
-  container->last_used.store(clock_->Now(), std::memory_order_relaxed);
-  if (container->poisoned.load(std::memory_order_acquire)) {
-    // Never return a poisoned container's token to the freelist: quarantine
-    // it, then retire the container once in-flight work has drained.
-    QuarantineSlot(shard, container, slot_index);
-    container->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    MaybeRetireContainer(shard, container);
-    return;
+                                          Container* container, bool poison) {
+  std::unique_ptr<Container> retired;
+  {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    if (poison && !container->poisoned) {
+      // The enclave's state can no longer be trusted: every TCS slot leaves
+      // service now, and a relaunch (the next cold start) restores capacity.
+      container->poisoned = true;
+      counters_.enclave_failures.Inc();
+      counters_.quarantined_slots.Inc(shard->spec.options.num_tcs);
+      pending_relaunches_.fetch_add(1, std::memory_order_acq_rel);
+    }
+    container->busy--;
+    container->last_used = clock_->Now();
+    if (container->poisoned && container->busy == 0) {
+      auto it = std::find_if(
+          shard->containers.begin(), shard->containers.end(),
+          [&](const std::unique_ptr<Container>& c) { return c.get() == container; });
+      retired = std::move(*it);
+      shard->containers.erase(it);
+      shard->live.store(static_cast<int>(shard->containers.size()),
+                        std::memory_order_relaxed);
+    }
   }
-  container->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  PushWarmSlot(shard, slot_index, container);
+  if (retired != nullptr) DestroyContainer(std::move(retired));
 }
 
-void ServerlessPlatform::PoisonContainer(Container* container) {
-  bool expected = false;
-  if (!container->poisoned.compare_exchange_strong(expected, true,
-                                                   std::memory_order_acq_rel)) {
-    return;  // already poisoned by a concurrent failure
-  }
-  counters_.enclave_failures.Inc();
-  pending_relaunches_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-void ServerlessPlatform::QuarantineSlotLocked(FunctionShard* shard,
-                                              Container* container,
-                                              uint32_t slot_index) {
-  shard->spare_slots.push_back(slot_index);
-  container->quarantined.fetch_add(1, std::memory_order_acq_rel);
-  counters_.quarantined_slots.Inc();
-}
-
-void ServerlessPlatform::QuarantineSlot(FunctionShard* shard,
-                                        Container* container,
-                                        uint32_t slot_index) {
-  std::lock_guard<std::mutex> lock(shard->mutex);
-  QuarantineSlotLocked(shard, container, slot_index);
-}
-
-void ServerlessPlatform::MaybeRetireContainer(FunctionShard* shard,
-                                              Container* container) {
-  std::lock_guard<std::mutex> lock(shard->mutex);
-  // Membership check FIRST, by pointer identity only: a concurrent
-  // quarantiner may have already retired (freed) the container, so no
-  // dereference is legal until it is confirmed still present.
-  auto it = std::find_if(
-      shard->containers.begin(), shard->containers.end(),
-      [&](const std::unique_ptr<Container>& c) { return c.get() == container; });
-  if (it == shard->containers.end()) return;  // already retired
-  // Retirement needs every token quarantined AND no request executing: both
-  // hold only once no thread can still hand the container new work, so
-  // destroying the instance (enclave teardown) here is safe.
-  if (container->quarantined.load(std::memory_order_acquire) <
-          container->num_tokens ||
-      container->in_flight.load(std::memory_order_acquire) != 0) {
-    return;
-  }
-  memory_used_.fetch_sub(container->memory_bytes, std::memory_order_acq_rel);
-  shard->containers.erase(it);
+void ServerlessPlatform::DestroyContainer(std::unique_ptr<Container> container) {
+  const uint64_t bytes = container->memory_bytes;
+  container.reset();
+  memory_used_.fetch_sub(bytes, std::memory_order_acq_rel);
 }
 
 Result<Bytes> ServerlessPlatform::Invoke(const std::string& function,
@@ -622,15 +477,13 @@ void ServerlessPlatform::Execute(std::vector<sched::QueuedRequest> unit,
   // mid-inference). The earliest deadline governs a unit.
   semirt::ExecDeadline deadline;
   const semirt::ExecDeadline* deadline_ptr = nullptr;
-  if (config_.recovery.enabled) {
-    TimeMicros earliest = sched::kNoDeadline;
-    for (const sched::QueuedRequest& qr : unit) {
-      earliest = std::min(earliest, qr.deadline);
-    }
-    if (earliest != sched::kNoDeadline) {
-      deadline = {earliest, clock_};
-      deadline_ptr = &deadline;
-    }
+  TimeMicros earliest = sched::kNoDeadline;
+  for (const sched::QueuedRequest& qr : unit) {
+    earliest = std::min(earliest, qr.deadline);
+  }
+  if (earliest != sched::kNoDeadline) {
+    deadline = {earliest, clock_};
+    deadline_ptr = &deadline;
   }
 
   std::vector<const semirt::InferenceRequest*> requests;
@@ -657,30 +510,24 @@ void ServerlessPlatform::Execute(std::vector<sched::QueuedRequest> unit,
     }
     const TimeMicros exec_start = clock_->Now();
     bool cold_here = false;
-    uint32_t slot_index = 0;
-    SESEMI_ASSIGN_OR_RETURN(
-        Container * container,
-        AcquireContainer(shard, head.model_id, &slot_index, &cold_here));
+    SESEMI_ASSIGN_OR_RETURN(Container * container,
+                            AcquireContainer(shard, head.model_id, &cold_here));
     cold = cold || cold_here;
     results = container->instance->HandleRequestBatch(requests, &timings,
                                                       deadline_ptr);
     exec_micros = clock_->Now() - exec_start;
-    if (config_.recovery.enabled &&
+    // A poisoning failure means the enclave's internal state can no longer be
+    // trusted: the release retires the container instead of reusing it.
+    const bool poison =
         std::any_of(results.begin(), results.end(), [](const Result<Bytes>& r) {
           return !r.ok() && IsEnclavePoisoning(r.status().code());
-        })) {
-      // The enclave's internal state can no longer be trusted: poison it so
-      // the release below quarantines the token instead of recycling it.
-      PoisonContainer(container);
-    }
-    ReleaseContainer(shard, container, slot_index);
+        });
+    ReleaseContainer(shard, container, poison);
     counters_.invocations.Inc(n);
     return Status::OK();
   };
 
-  const int max_attempts =
-      config_.recovery.enabled ? std::max(1, config_.recovery.retry.max_attempts)
-                               : 1;
+  const int max_attempts = std::max(1, config_.recovery.retry.max_attempts);
   for (int i = 0;; ++i) {
     Status entered = attempt();
     if (!entered.ok()) results.assign(n, entered);
@@ -710,10 +557,10 @@ void ServerlessPlatform::Execute(std::vector<sched::QueuedRequest> unit,
       const StatusCode code = out.response.status().code();
       if (code == StatusCode::kDeadlineExceeded) {
         counters_.deadline_cuts.Inc();
-      } else if (config_.recovery.enabled && IsEnclavePoisoning(code)) {
+      } else if (IsEnclavePoisoning(code)) {
         // The inference ecall itself faulted: never retried (it may have
         // consumed or mutated state), but surfaced as typed Unavailable — the
-        // enclave is quarantined and a relaunch restores service.
+        // enclave is retired and a relaunch restores service.
         out.response = Status::Unavailable("enclave failure: " +
                                            out.response.status().message());
       }
@@ -729,8 +576,8 @@ void ServerlessPlatform::Execute(std::vector<sched::QueuedRequest> unit,
 }
 
 void ServerlessPlatform::MaybeReap() {
-  // Rate-limit the opportunistic sweep so it never contends with the
-  // lock-free warm path on every request.
+  // Rate-limit the opportunistic sweep so it takes the pool mutexes at most
+  // once per interval, not on every request.
   const TimeMicros interval =
       std::min<TimeMicros>(config_.keep_alive / 4 + 1, SecondsToMicros(1));
   const TimeMicros now = clock_->Now();
@@ -742,105 +589,48 @@ void ServerlessPlatform::MaybeReap() {
   ReapIdleContainers();
 }
 
-int ServerlessPlatform::ReapShard(FunctionShard* shard, TimeMicros now) {
+void ServerlessPlatform::ReapShard(
+    FunctionShard* shard, TimeMicros now,
+    std::vector<std::unique_ptr<Container>>* expired) {
+  // One pass under the pool mutex moves out the containers with no busy slot
+  // that have idled past keep-alive. A poisoned container is always busy: it
+  // retires at its last release.
   std::lock_guard<std::mutex> lock(shard->mutex);
-
-  // Steal the whole freelist in one CAS; we then own the chain exclusively
-  // (in-progress pops that loaded the old head fail their CAS on the bumped
-  // tag). A warm acquisition that finds the list empty meanwhile pops again
-  // under this mutex (AcquireContainer), so it gets a survivor's token
-  // instead of cold-starting a container.
-  uint64_t head = shard->free_head.load(std::memory_order_acquire);
-  for (;;) {
-    const uint64_t want = PackHead(HeadTag(head) + 1, kNilSlot);
-    if (shard->free_head.compare_exchange_weak(head, want,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-      break;
-    }
-  }
-
-  // Group the stolen tokens by container. A container is reapable only if
-  // every one of its tokens was in the freelist (nothing in flight).
-  // Poisoned containers' tokens are quarantined here instead of regrouped, so
-  // a sweep also mops up tokens a failing enclave left circulating.
-  std::unordered_map<Container*, std::vector<uint32_t>> tokens;
-  for (uint32_t index = HeadIndex(head); index != kNilSlot;) {
-    WarmSlot* slot = SlotAt(*shard, index);
-    Container* owner = slot->container.load(std::memory_order_relaxed);
-    const uint32_t next = slot->next.load(std::memory_order_relaxed);
-    if (owner != nullptr && owner->poisoned.load(std::memory_order_acquire)) {
-      QuarantineSlotLocked(shard, owner, index);
-    } else {
-      tokens[owner].push_back(index);
-    }
-    index = next;
-  }
-
-  int reaped = 0;
   for (auto it = shard->containers.begin(); it != shard->containers.end();) {
-    Container* c = it->get();
-    if (c->poisoned.load(std::memory_order_acquire)) {
-      // Quarantined enclaves retire as soon as they drain, regardless of
-      // keep_alive; they never return to service and are not counted as
-      // idle-reaped.
-      if (c->quarantined.load(std::memory_order_acquire) >= c->num_tokens &&
-          c->in_flight.load(std::memory_order_acquire) == 0) {
-        memory_used_.fetch_sub(c->memory_bytes, std::memory_order_acq_rel);
-        it = shard->containers.erase(it);
-      } else {
-        ++it;
-      }
-      continue;
-    }
-    auto token_it = tokens.find(c);
-    const size_t free_tokens = token_it == tokens.end() ? 0 : token_it->second.size();
-    const bool idle = free_tokens == c->num_tokens &&
-                      c->in_flight.load(std::memory_order_acquire) == 0;
-    if (idle && now - c->last_used.load(std::memory_order_relaxed) >=
-                    config_.keep_alive) {
-      memory_used_.fetch_sub(c->memory_bytes, std::memory_order_acq_rel);
-      // Recycle the slot records (tagged head makes the reuse ABA-safe).
-      shard->spare_slots.insert(shard->spare_slots.end(),
-                                token_it->second.begin(), token_it->second.end());
-      tokens.erase(token_it);
+    if ((*it)->busy == 0 && now - (*it)->last_used >= config_.keep_alive) {
+      expired->push_back(std::move(*it));
       it = shard->containers.erase(it);
-      ++reaped;
     } else {
       ++it;
     }
   }
-
-  // Survivors' tokens go back to the freelist (reverse order keeps the
-  // pre-sweep LIFO preference roughly intact).
-  std::vector<std::pair<uint32_t, Container*>> back;
-  for (auto& [container, indices] : tokens) {
-    for (uint32_t index : indices) back.emplace_back(index, container);
-  }
-  for (auto rit = back.rbegin(); rit != back.rend(); ++rit) {
-    PushWarmSlot(shard, rit->first, rit->second);
-  }
-  return reaped;
+  shard->live.store(static_cast<int>(shard->containers.size()),
+                    std::memory_order_relaxed);
 }
 
 int ServerlessPlatform::ReapIdleContainers() {
   const TimeMicros now = clock_->Now();
-  int reaped = 0;
-  std::shared_lock<std::shared_mutex> lock(functions_mutex_);
-  for (auto& [name, shard] : functions_) {
-    reaped += ReapShard(shard.get(), now);
+  std::vector<std::unique_ptr<Container>> expired;
+  {
+    std::shared_lock<std::shared_mutex> lock(functions_mutex_);
+    for (auto& [name, shard] : functions_) ReapShard(shard.get(), now, &expired);
   }
+  // The enclaves are torn down outside every platform lock.
+  const int reaped = static_cast<int>(expired.size());
+  for (std::unique_ptr<Container>& c : expired) DestroyContainer(std::move(c));
   counters_.reaped_containers.Inc(static_cast<uint64_t>(reaped));
   return reaped;
 }
 
 int ServerlessPlatform::ContainerCount(const std::string& function) const {
+  if (!function.empty()) {
+    const FunctionShard* shard = FindShard(function);
+    return shard == nullptr ? 0 : shard->live.load(std::memory_order_relaxed);
+  }
   std::shared_lock<std::shared_mutex> lock(functions_mutex_);
   int count = 0;
   for (const auto& [name, shard] : functions_) {
-    if (!function.empty() && name != function) continue;
-    std::lock_guard<std::mutex> shard_lock(shard->mutex);
-    count += static_cast<int>(shard->containers.size());
+    count += shard->live.load(std::memory_order_relaxed);
   }
   return count;
 }

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -88,7 +87,7 @@ struct PlatformCounters {
   obs::Counter reaped_containers;
   // Failure recovery (policy in serverless/recovery.h).
   obs::Counter enclave_failures;   ///< enclaves poisoned by a faulting ecall
-  obs::Counter quarantined_slots;  ///< warm slots pulled off the freelist
+  obs::Counter quarantined_slots;  ///< num_tcs per poisoned container
   obs::Counter relaunches;         ///< successful cold starts after a poisoning
   obs::Counter relaunch_backoffs;  ///< cold starts rejected while backing off
   obs::Counter retries;            ///< idempotent-stage retry attempts
@@ -136,20 +135,20 @@ struct InvokeOptions {
 /// cluster scale.
 ///
 /// \par Concurrency design
-/// The invocation hot path is sharded so concurrent requests never serialize
-/// behind one global lock:
+/// The invocation hot path is sharded per function, so requests for
+/// different functions never serialize behind one lock:
 ///  - the function table is read-mostly (`std::shared_mutex`; deploys are the
 ///    only writers, and shards are heap-stable so a reference obtained under
 ///    the shared lock stays valid for the platform's lifetime);
-///  - each function shard keeps a lock-free warm-slot freelist (a tagged
-///    Treiber stack of TCS slot tokens) — a warm acquisition is one CAS, and
-///    the LIFO order naturally prefers the most recently used (hottest)
-///    container;
-///  - memory accounting is a CAS reservation on one atomic counter,
-///    and the expensive SemirtInstance launch runs outside every lock, so
-///    cold starts of different functions proceed in parallel;
-///  - a shard mutex serializes only the rare paths: container creation,
-///    reaping, and inspection.
+///  - each function's containers sit under that function's shard mutex,
+///    which an acquisition and a release each take once. An acquisition
+///    scans the containers for a free TCS slot, preferring the one that
+///    holds the request's model (Fig. 4's hot path), and a keep-alive sweep
+///    is one pass under the same mutex;
+///  - memory accounting is a CAS reservation on one atomic counter, and
+///    every enclave launch, teardown, model load and KeyService round trip
+///    runs outside every platform lock, so cold starts of different
+///    functions proceed in parallel.
 ///
 /// \threadsafety All public methods are safe to call concurrently.
 class ServerlessPlatform {
@@ -229,7 +228,9 @@ class ServerlessPlatform {
   /// maintenance loops, where it always runs a full sweep.
   int ReapIdleContainers();
 
-  /// Number of live containers for `function` ("" = all).
+  /// Number of live containers for `function` ("" = all), poisoned ones
+  /// included until they retire. One atomic read per function, so the
+  /// cluster router can call it on every request.
   int ContainerCount(const std::string& function = "") const;
 
   /// Export this platform's counters, its scheduler's dispatch and
@@ -243,100 +244,51 @@ class ServerlessPlatform {
                        std::vector<std::pair<std::string, std::string>> labels = {});
 
  private:
+  /// One sandbox. `memory_bytes` and `instance` are set before the container
+  /// joins its shard; the other fields are guarded by the shard's mutex.
   struct Container {
-    std::string function;
     uint64_t memory_bytes = 0;
     std::unique_ptr<semirt::SemirtInstance> instance;
-    /// Warm tokens this container contributed (== num_tcs unless the slot
-    /// directory ran out); the reaper's fully-idle test compares against
-    /// this, not num_tcs, so short-tokened containers still get reclaimed.
-    uint32_t num_tokens = 0;
-    std::atomic<int> in_flight{0};
-    std::atomic<TimeMicros> last_used{0};
-    /// Set once by PoisonContainer after a poisoning ecall failure. A
-    /// poisoned container accepts no new work: its tokens are quarantined as
-    /// they surface, and the container is retired (enclave destroyed, memory
-    /// returned) once every token is accounted for and in-flight work drains.
-    std::atomic<bool> poisoned{false};
-    /// Tokens quarantined so far; retirement requires == num_tokens.
-    std::atomic<uint32_t> quarantined{0};
+    uint32_t busy = 0;         ///< TCS slots handed out, at most num_tcs
+    TimeMicros last_used = 0;  ///< last release, or the launch
+    /// Set at the release of a request whose ecall poisoned the enclave. A
+    /// poisoned container takes no new work and retires (enclave destroyed,
+    /// memory returned) at its last release.
+    bool poisoned = false;
   };
 
-  /// One warm TCS slot token. A container contributes `num_tcs` tokens to its
-  /// shard's freelist; holding a popped token is the (lock-free) right to run
-  /// one request on that container. Records are recycled across containers;
-  /// the tagged freelist head makes reuse ABA-safe.
-  struct WarmSlot {
-    std::atomic<Container*> container{nullptr};
-    std::atomic<uint32_t> next{0};
-  };
-
-  static constexpr uint32_t kNilSlot = 0xffffffffu;
-  static constexpr uint32_t kSlotChunk = 64;     ///< slots per storage chunk
-  static constexpr uint32_t kMaxChunks = 1024;   ///< 65536 slots per function
-
-  /// Per-function state. The shard mutex guards only the cold/maintenance
-  /// paths; the warm path touches nothing but `free_head` and slot records.
+  /// Per-function state: the function's containers under one mutex, taken
+  /// once per acquisition, release, cold-start insertion and sweep.
   struct FunctionShard {
     explicit FunctionShard(FunctionSpec s) : spec(std::move(s)) {}
-    ~FunctionShard();
 
     const FunctionSpec spec;
-
-    /// Lock-free freelist head: {tag:32 | slot index:32}. Every successful
-    /// push/pop/steal bumps the tag, so a popped-and-reused slot can never
-    /// satisfy a stale CAS (ABA).
-    std::atomic<uint64_t> free_head;
-
-    /// Stable slot storage: fixed chunk directory, chunks allocated under
-    /// `mutex`, read lock-free via acquire loads.
-    std::array<std::atomic<WarmSlot*>, kMaxChunks> chunks{};
-
-    mutable std::mutex mutex;
+    std::mutex mutex;
     std::vector<std::unique_ptr<Container>> containers;  ///< guarded by mutex
-    std::vector<uint32_t> spare_slots;                   ///< guarded by mutex
-    uint32_t slot_count = 0;                             ///< guarded by mutex
+    /// containers.size(), stored under mutex and read without it.
+    std::atomic<int> live{0};
   };
-
-  static uint64_t PackHead(uint32_t tag, uint32_t index) {
-    return (static_cast<uint64_t>(tag) << 32) | index;
-  }
-  static uint32_t HeadTag(uint64_t head) { return static_cast<uint32_t>(head >> 32); }
-  static uint32_t HeadIndex(uint64_t head) { return static_cast<uint32_t>(head); }
-
-  WarmSlot* SlotAt(const FunctionShard& shard, uint32_t index) const;
-  uint32_t PopWarmSlot(FunctionShard* shard);
-  void PushWarmSlot(FunctionShard* shard, uint32_t index, Container* container);
-  uint32_t AllocSlotRecordLocked(FunctionShard* shard);  ///< requires shard->mutex
 
   FunctionShard* FindShard(const std::string& function) const;
   /// CAS reservation against the invoker memory budget.
   bool TryReserveMemory(uint64_t bytes);
 
-  /// Cold-start a container for `shard`, returning it with one slot token
-  /// (index in *slot_index) already held by the caller.
-  Result<Container*> ColdStart(FunctionShard* shard, uint32_t* slot_index);
+  /// Cold-start a container for `shard`, returning it with one TCS slot
+  /// already held by the caller. The launch runs outside every lock.
+  Result<Container*> ColdStart(FunctionShard* shard);
 
-  /// Acquire one execution right on a container for `shard` (warm slot with
-  /// model affinity, else cold start). Pairs with ReleaseContainer. Poisoned
-  /// containers surfacing from the freelist are quarantined and skipped.
+  /// Take one TCS slot for `shard`: among healthy containers with a free
+  /// slot, one already holding `model_id`, else the most recently released
+  /// one; a cold start only when none has a free slot. Pairs with
+  /// ReleaseContainer.
   Result<Container*> AcquireContainer(FunctionShard* shard,
-                                      const std::string& model_id,
-                                      uint32_t* slot_index, bool* cold);
-  void ReleaseContainer(FunctionShard* shard, Container* container,
-                        uint32_t slot_index);
-
-  /// Mark `container` poisoned (idempotent); arms the relaunch accounting.
-  void PoisonContainer(Container* container);
-  /// Take `slot_index` out of circulation: the record returns to the spare
-  /// pool and the container's quarantine count advances.
-  void QuarantineSlot(FunctionShard* shard, Container* container,
-                      uint32_t slot_index);
-  void QuarantineSlotLocked(FunctionShard* shard, Container* container,
-                            uint32_t slot_index);  ///< requires shard->mutex
-  /// Retire a fully-quarantined, fully-drained poisoned container: destroy
-  /// the enclave and return its memory.
-  void MaybeRetireContainer(FunctionShard* shard, Container* container);
+                                      const std::string& model_id, bool* cold);
+  /// Return the slot. `poison` (the ecall faulted) marks the container
+  /// poisoned; a poisoned container retires at its last release.
+  void ReleaseContainer(FunctionShard* shard, Container* container, bool poison);
+  /// Destroy the enclave, then return the memory. Never called under a
+  /// shard mutex.
+  void DestroyContainer(std::unique_ptr<Container> container);
 
   /// Resolve `qr`'s future with `out`, stamped with the scheduler's view of
   /// the request (admission and dispatch order, queue wait up to
@@ -370,7 +322,9 @@ class ServerlessPlatform {
   void ObserveClassLatency(int cls, TimeMicros wait, TimeMicros exec);
 
   void MaybeReap();
-  int ReapShard(FunctionShard* shard, TimeMicros now);
+  /// Move `shard`'s idle containers past keep-alive into `expired`.
+  void ReapShard(FunctionShard* shard, TimeMicros now,
+                 std::vector<std::unique_ptr<Container>>* expired);
 
   PlatformConfig config_;
   storage::ObjectStore* storage_;

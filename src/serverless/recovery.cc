@@ -22,7 +22,6 @@ TimeMicros JitteredBackoff::Next(int attempt) {
 }
 
 Status RelaunchGate::Admit(TimeMicros now) {
-  if (!config_.enabled) return Status::OK();
   int failures = failures_.load(std::memory_order_acquire);
   if (failures == 0) return Status::OK();
   if (config_.relaunch_max_attempts >= 0 &&

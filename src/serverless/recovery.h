@@ -30,9 +30,6 @@ struct RetryPolicy {
 };
 
 struct RecoveryConfig {
-  /// Master switch; false restores pre-recovery behaviour (no gate, no
-  /// retries, failures surface directly).
-  bool enabled = true;
   /// Consecutive enclave launch failures tolerated before ColdStart gives
   /// up immediately instead of backing off (-1 = keep trying forever).
   int relaunch_max_attempts = 8;

@@ -175,8 +175,8 @@ TEST_F(ChaosTest, SoakRecoversToSteadyState) {
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   }
 
-  // A sweep retires every drained poisoned enclave; the counters must agree:
-  // each poisoned container contributes at least one quarantined token.
+  // Each poisoned container retired at its last release, taking all of its
+  // TCS slots out of service; the counters must agree after a sweep too.
   platform_->ReapIdleContainers();
   const PlatformCounters& counters = platform_->counters();
   if (counters.enclave_failures.Value() > 0) {
@@ -220,7 +220,7 @@ TEST_F(ChaosTest, SingleEcallFaultQuarantinesAndRelaunches) {
     }
   }
   EXPECT_TRUE(recovered);
-  platform_->ReapIdleContainers();  // retires the drained poisoned enclave
+  platform_->ReapIdleContainers();  // the poisoned enclave already retired
   EXPECT_GE(counters.quarantined_slots.Value(), 1u);
 }
 

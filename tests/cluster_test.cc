@@ -386,7 +386,7 @@ TEST_F(ClusterTest, PlacementIsStableAtLowLoad) {
   EXPECT_GE(SoleContainerNode("predict"), 0);
 }
 
-TEST_F(ClusterTest, StealsWarmSlotInsteadOfColdStarting) {
+TEST_F(ClusterTest, StealsToAWarmNodeInsteadOfColdStarting) {
   ClusterConfig config;
   config.initial_nodes = 3;
   config.node.keep_alive = SecondsToMicros(60);

@@ -560,6 +560,23 @@ TEST_F(SemirtTest, ModelSwitchReleasesIdleSlotRuntimes) {
             (*m1)->memory_bytes() + (*runtime)->buffer_bytes());
 }
 
+TEST_F(SemirtTest, NumTcsMustBeOneToSixtyFour) {
+  // A TCS slot is one bit of a 64-bit free mask. With no slot the first
+  // request would park forever; a 65th slot would have no bit.
+  for (uint32_t num_tcs : {0u, kMaxTcs + 1}) {
+    SemirtOptions options;
+    options.num_tcs = num_tcs;
+    auto instance = MakeInstance(options);
+    EXPECT_EQ(instance.status().code(), StatusCode::kInvalidArgument) << num_tcs;
+  }
+  SemirtOptions options;
+  options.num_tcs = kMaxTcs;
+  Authorize("m0", options);
+  auto instance = MakeInstance(options);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  EXPECT_TRUE(RunRequest(instance->get(), "m0").ok());
+}
+
 TEST_F(SemirtTest, ClearExecutionContextFreesHeap) {
   SemirtOptions options;
   Authorize("m0", options);

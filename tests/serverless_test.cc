@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <deque>
 #include <future>
 #include <map>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "client/clients.h"
+#include "common/faultpoint.h"
 #include "fnpacker/router.h"
 #include "model/zoo.h"
 #include "obs/metrics.h"
@@ -21,6 +23,54 @@ namespace {
 using client::KeyServiceClient;
 using client::ModelOwner;
 using client::ModelUser;
+
+// An object store whose Gets of one key park until the test opens the gate.
+// A request that must fetch that object holds its container slot until then,
+// so a test can fill a container without timing assumptions.
+class GatedStore final : public storage::ObjectStore {
+ public:
+  GatedStore(storage::ObjectStore* inner, std::string gated_key)
+      : inner_(inner), gated_key_(std::move(gated_key)) {}
+
+  Result<Bytes> Get(const std::string& key) const override {
+    if (key == gated_key_) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      ++parked_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    }
+    return inner_->Get(key);
+  }
+  Status Put(const std::string& key, Bytes data) override {
+    return inner_->Put(key, std::move(data));
+  }
+  Status Delete(const std::string& key) override { return inner_->Delete(key); }
+  bool Exists(const std::string& key) const override { return inner_->Exists(key); }
+  Result<uint64_t> Size(const std::string& key) const override {
+    return inner_->Size(key);
+  }
+  std::vector<std::string> List(const std::string& prefix) const override {
+    return inner_->List(prefix);
+  }
+
+  void WaitForParked(int n) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return parked_ >= n; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  storage::ObjectStore* inner_;
+  const std::string gated_key_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable int parked_ = 0;
+  bool open_ = false;
+};
 
 class ServerlessTest : public ::testing::Test {
  protected:
@@ -136,9 +186,9 @@ TEST_F(ServerlessTest, KeepAliveReapsIdleContainers) {
   EXPECT_TRUE(cold);
 }
 
-// A keep-alive sweep takes the whole warm freelist while it regroups it. A
-// request that acquires during the sweep must wait for the survivors' tokens,
-// not cold-start another container: with a ManualClock nothing ever expires,
+// A keep-alive sweep holds the function's pool mutex while it scans. A
+// request that acquires during the sweep must wait for it and reuse the warm
+// container, not cold-start another: with a ManualClock nothing ever expires,
 // so one 16-TCS container serves every request however often sweeps run.
 TEST_F(ServerlessTest, KeepAliveSweepNeverColdStartsAWarmFunction) {
   semirt::SemirtOptions options;
@@ -179,6 +229,168 @@ TEST_F(ServerlessTest, KeepAliveSweepNeverColdStartsAWarmFunction) {
   EXPECT_EQ(failed, 0);
   EXPECT_EQ(platform_->counters().cold_starts.Value(), 1u);
   EXPECT_EQ(platform_->ContainerCount("predict"), 1);
+}
+
+// Fig. 4's hot path across containers: of two warm containers with free
+// slots, a request takes the one that holds its model, even when the other
+// was released more recently. Four RT lanes give four concurrent dispatchers
+// whatever the size of the shared pool.
+TEST_F(ServerlessTest, WarmAcquisitionPrefersTheContainerHoldingTheModel) {
+  std::map<std::string, model::ModelGraph> graphs = {{"m0", graph_}};
+  for (const char* id : {"m1", "m2"}) {
+    model::ZooSpec zoo;
+    zoo.model_id = id;
+    zoo.scale = 0.002;
+    zoo.input_hw = 16;
+    auto graph = model::BuildModel(zoo);
+    ASSERT_TRUE(graph.ok());
+    ASSERT_TRUE(owner_->DeployModel(client_.get(), &storage_, *graph).ok());
+    graphs[id] = *graph;
+  }
+  semirt::SemirtOptions options;
+  options.num_tcs = 3;
+  const sgx::Measurement es = semirt::SemirtInstance::MeasurementFor(options);
+  for (const auto& [id, graph] : graphs) {
+    ASSERT_TRUE(owner_->GrantAccess(client_.get(), id, es, user_->id()).ok());
+    ASSERT_TRUE(user_->ProvisionRequestKey(client_.get(), id, es).ok());
+  }
+  auto request_for = [&](const std::string& id) {
+    auto request = user_->BuildRequest(id, model::GenerateRandomInput(graphs[id], 1));
+    EXPECT_TRUE(request.ok());
+    return *request;
+  };
+
+  GatedStore store(&storage_, semirt::SemirtInstance::ModelObjectKey("m0"));
+  PlatformConfig config;
+  config.rt.enabled = true;
+  config.rt.classes = sched::kNumPriorityClasses;
+  config.rt.executor.num_lanes = 4;
+  config.rt.executor.pin_threads = false;
+  config.rt.executor.elevate_priority = false;
+  ServerlessPlatform platform(config, &authority_, &store, keyservice_.get(),
+                              &clock_);
+  FunctionSpec spec;
+  spec.name = "pool";
+  spec.options = options;
+  ASSERT_TRUE(platform.DeployFunction(spec).ok());
+
+  // Container A launches for m2 and goes idle with three free slots. Three m0
+  // requests then take all three and park on the m0 fetch.
+  ASSERT_TRUE(platform.Invoke("pool", request_for("m2")).ok());
+  std::vector<std::future<InvocationResult>> parked;
+  for (int i = 0; i < 3; ++i) {
+    parked.push_back(platform.InvokeAsync("pool", request_for("m0")));
+  }
+  store.WaitForParked(3);
+  // A is full, so m1 launches container B, which loads m1 and goes idle.
+  bool cold = false;
+  ASSERT_TRUE(platform.Invoke("pool", request_for("m1"), nullptr, &cold).ok());
+  EXPECT_TRUE(cold);
+  // A's slots are released last, with m0 loaded.
+  store.Open();
+  for (auto& future : parked) {
+    InvocationResult out = future.get();
+    ASSERT_TRUE(out.response.ok()) << out.response.status().ToString();
+  }
+  ASSERT_EQ(platform.ContainerCount("pool"), 2);
+
+  // The next m1 request runs on B: no launch, no model load (hot).
+  semirt::StageTimings timings;
+  ASSERT_TRUE(platform.Invoke("pool", request_for("m1"), &timings, &cold).ok());
+  EXPECT_FALSE(cold);
+  EXPECT_EQ(timings.kind, semirt::InvocationKind::kHot);
+  EXPECT_EQ(platform.counters().cold_starts.Value(), 2u);
+}
+
+// A poisoned container retires at its last release: it leaves
+// ContainerCount() and returns its memory with no keep-alive sweep (the
+// ManualClock never reaches the sweep interval), although three of its four
+// slots were never in use.
+TEST_F(ServerlessTest, PoisonedContainerRetiresAtItsLastRelease) {
+  semirt::SemirtOptions four;
+  four.num_tcs = 4;
+  const semirt::SemirtOptions one;
+  PlatformConfig config;
+  config.invoker_memory_bytes = 300ull << 20;  // one 256 MB container
+  ServerlessPlatform platform(config, &authority_, &storage_, keyservice_.get(),
+                              &clock_);
+  FunctionSpec predict;
+  predict.name = "predict";
+  predict.options = four;
+  ASSERT_TRUE(platform.DeployFunction(predict).ok());
+  FunctionSpec other;
+  other.name = "other";
+  other.options = one;
+  ASSERT_TRUE(platform.DeployFunction(other).ok());
+  const sgx::Measurement es_four = semirt::SemirtInstance::MeasurementFor(four);
+  const sgx::Measurement es_one = semirt::SemirtInstance::MeasurementFor(one);
+  for (const sgx::Measurement* es : {&es_four, &es_one}) {
+    ASSERT_TRUE(owner_->GrantAccess(client_.get(), "m0", *es, user_->id()).ok());
+    ASSERT_TRUE(user_->ProvisionRequestKey(client_.get(), "m0", *es).ok());
+  }
+  const Bytes input = model::GenerateRandomInput(graph_, 1);
+  auto for_four = user_->BuildRequest("m0", input, &es_four);
+  auto for_one = user_->BuildRequest("m0", input, &es_one);
+  ASSERT_TRUE(for_four.ok() && for_one.ok());
+
+  ASSERT_TRUE(platform.Invoke("predict", *for_four).ok());
+  ASSERT_EQ(platform.ContainerCount("predict"), 1);
+  {
+    FaultConfig poison;
+    poison.max_fires = 1;
+    poison.error_code = StatusCode::kInternal;
+    ScopedFault fault(faults::kEcallEnter, poison);
+    EXPECT_EQ(platform.Invoke("predict", *for_four).status().code(),
+              StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(platform.counters().enclave_failures.Value(), 1u);
+  EXPECT_EQ(platform.counters().quarantined_slots.Value(), 4u);
+  EXPECT_EQ(platform.ContainerCount("predict"), 0);
+  // The memory is back: another function's launch fits in the budget.
+  bool cold = false;
+  auto other_result = platform.Invoke("other", *for_one, nullptr, &cold);
+  EXPECT_TRUE(other_result.ok()) << other_result.status().ToString();
+  EXPECT_TRUE(cold);
+  EXPECT_EQ(platform.counters().reaped_containers.Value(), 0u);
+}
+
+// DeployFunction refuses every spec SemirtInstance::Create would refuse on
+// its options alone. Accepted, each would fail every cold start and arm the
+// node-wide relaunch gate against the healthy functions too.
+TEST_F(ServerlessTest, DeployRefusesWhatEveryLaunchWouldRefuse) {
+  std::vector<semirt::SemirtOptions> refused(4);
+  refused[0].num_tcs = 0;
+  refused[1].num_tcs = semirt::kMaxTcs + 1;
+  refused[2].sequential_mode = true;
+  refused[2].num_tcs = 2;
+  refused[3].mode = semirt::RuntimeMode::kNative;
+  refused[3].num_tcs = 2;
+  for (size_t i = 0; i < refused.size(); ++i) {
+    FunctionSpec spec;
+    spec.name = "refused-" + std::to_string(i);
+    spec.options = refused[i];
+    EXPECT_EQ(platform_->DeployFunction(spec).code(), StatusCode::kInvalidArgument)
+        << spec.name;
+  }
+
+  // A trusted mode needs a KeyService; the untrusted baseline does not.
+  ServerlessPlatform no_keyservice(PlatformConfig{}, &authority_, &storage_,
+                                   /*keyservice=*/nullptr, &clock_);
+  FunctionSpec trusted;
+  trusted.name = "trusted";
+  EXPECT_EQ(no_keyservice.DeployFunction(trusted).code(),
+            StatusCode::kInvalidArgument);
+  FunctionSpec untrusted;
+  untrusted.name = "untrusted";
+  untrusted.options.mode = semirt::RuntimeMode::kUntrusted;
+  EXPECT_TRUE(no_keyservice.DeployFunction(untrusted).ok());
+
+  // The refusals left the node healthy: a good function still launches.
+  DeployAndAuthorize("predict");
+  bool cold = false;
+  auto result = InvokeOnce("predict", &cold);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(cold);
 }
 
 TEST_F(ServerlessTest, MemoryExhaustionSurfaces) {
