@@ -53,6 +53,10 @@ void MeasuredSection() {
   std::printf("%d/%d mutual handshakes in %.3f s (%.2f ms each: X25519 x4 + "
               "quote gen/verify x2 + HKDF)\n",
               ok, kIters, elapsed, 1000 * elapsed / kIters);
+  std::printf("(the simulated quote is an HMAC, so this live handshake carries no\n"
+              " DCAP or IAS cost and costs well under a millisecond, mostly the four\n"
+              " X25519 scalar multiplications; the calibrated rows above carry the\n"
+              " paper's attestation cost)\n");
 }
 
 }  // namespace

@@ -48,8 +48,10 @@ void MeasuredSection() {
                 StageMeanSeconds(rollup, obs::spans::kRuntimeInit),
                 StageMeanSeconds(rollup, obs::spans::kInference));
   }
-  std::printf("(shape check: key fetch (attestation) dominates non-execution cost;\n"
-              " TVM runtime init >> TFLM runtime init; RSNET loads slowest)\n");
+  std::printf("(shape check: calibrated key fetch carries the paper's DCAP attestation\n"
+              " and dominates non-execution cost, and calibrated TVM runtime init >>\n"
+              " TFLM runtime init; the live handshake has no quote cost, so live key\n"
+              " fetch sits below model load; RSNET loads slowest in both)\n");
 }
 
 }  // namespace

@@ -6,6 +6,14 @@
 
 namespace sesemi::semirt {
 
+KeyServiceLink::~KeyServiceLink() { DropSession(); }
+
+void KeyServiceLink::DropSession() {
+  if (!session_.has_value()) return;
+  server_->Disconnect(session_id_);
+  session_.reset();
+}
+
 Status KeyServiceLink::EnsureSession(sgx::Enclave* enclave) {
   if (session_.has_value()) return Status::OK();
   // Only an actual RA-TLS establishment gets a span: the cached-session
@@ -40,7 +48,7 @@ Result<std::pair<Bytes, Bytes>> KeyServiceLink::FetchKeys(
   if (!sealed_response.ok()) {
     // The channel may be gone (server restart); drop it so the next call
     // re-attests rather than failing forever.
-    session_.reset();
+    DropSession();
     return sealed_response.status();
   }
   SESEMI_ASSIGN_OR_RETURN(Bytes response_wire, session_->Open(*sealed_response));

@@ -24,6 +24,9 @@ class KeyServiceLink {
                  sgx::Measurement expected_measurement)
       : server_(server), expected_(expected_measurement) {}
 
+  /// Drops the session from KeyService, which must outlive the link.
+  ~KeyServiceLink();
+
   /// Fetch (K_M, K_R) for (user, model) with `enclave` as the attesting
   /// identity. Establishes the mutually attested session on first use.
   Result<std::pair<Bytes, Bytes>> FetchKeys(sgx::Enclave* enclave,
@@ -36,6 +39,8 @@ class KeyServiceLink {
 
  private:
   Status EnsureSession(sgx::Enclave* enclave);
+  /// Drops the session on both sides. Requires mutex_ or sole ownership.
+  void DropSession();
 
   keyservice::KeyServiceServer* server_;
   sgx::Measurement expected_;

@@ -137,7 +137,8 @@ class SemirtInstance {
  public:
   /// Launch the instance: creates the enclave (the expensive part of a cold
   /// start) and connects the KeyService link. `options` must pass
-  /// ValidateOptions; `keyservice` may be null only in kUntrusted mode.
+  /// ValidateOptions; `keyservice` may be null only in kUntrusted mode and
+  /// must outlive the instance, whose destructor disconnects its session.
   static Result<std::unique_ptr<SemirtInstance>> Create(
       sgx::SgxPlatform* platform, const SemirtOptions& options,
       storage::ObjectStore* storage, keyservice::KeyServiceServer* keyservice);

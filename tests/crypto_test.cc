@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "crypto/aes.h"
@@ -895,6 +897,146 @@ X25519Key KeyFromHex(std::string_view hex) {
   return k;
 }
 
+std::string KeyHex(const X25519Key& k) { return HexEncode(ByteSpan(k.data(), k.size())); }
+
+// Reference ladder for the differential test: the 16×16-bit-limb TweetNaCl
+// formulation (public domain) that the 51-bit-limb field arithmetic replaced.
+namespace tweetnacl {
+using Gf = int64_t[16];
+
+const Gf k121665 = {0xDB41, 1};
+
+void Carry(Gf o) {
+  for (int i = 0; i < 16; ++i) {
+    o[i] += (1LL << 16);
+    int64_t c = o[i] >> 16;
+    o[(i + 1) * (i < 15)] += c - 1 + 37 * (c - 1) * (i == 15);
+    o[i] -= c << 16;
+  }
+}
+
+void Swap(Gf p, Gf q, int64_t b) {
+  int64_t c = ~(b - 1);
+  for (int i = 0; i < 16; ++i) {
+    int64_t t = c & (p[i] ^ q[i]);
+    p[i] ^= t;
+    q[i] ^= t;
+  }
+}
+
+void Pack(uint8_t* o, const Gf n) {
+  Gf t, m;
+  for (int i = 0; i < 16; ++i) t[i] = n[i];
+  Carry(t);
+  Carry(t);
+  Carry(t);
+  for (int j = 0; j < 2; ++j) {
+    m[0] = t[0] - 0xffed;
+    for (int i = 1; i < 15; ++i) {
+      m[i] = t[i] - 0xffff - ((m[i - 1] >> 16) & 1);
+      m[i - 1] &= 0xffff;
+    }
+    m[15] = t[15] - 0x7fff - ((m[14] >> 16) & 1);
+    int64_t b = (m[15] >> 16) & 1;
+    m[14] &= 0xffff;
+    Swap(t, m, 1 - b);
+  }
+  for (int i = 0; i < 16; ++i) {
+    o[2 * i] = static_cast<uint8_t>(t[i] & 0xff);
+    o[2 * i + 1] = static_cast<uint8_t>(t[i] >> 8);
+  }
+}
+
+void Unpack(Gf o, const uint8_t* n) {
+  for (int i = 0; i < 16; ++i) {
+    o[i] = n[2 * i] + (static_cast<int64_t>(n[2 * i + 1]) << 8);
+  }
+  o[15] &= 0x7fff;
+}
+
+void Add(Gf o, const Gf a, const Gf b) {
+  for (int i = 0; i < 16; ++i) o[i] = a[i] + b[i];
+}
+
+void Sub(Gf o, const Gf a, const Gf b) {
+  for (int i = 0; i < 16; ++i) o[i] = a[i] - b[i];
+}
+
+void Mul(Gf o, const Gf a, const Gf b) {
+  int64_t t[31];
+  for (auto& v : t) v = 0;
+  for (int i = 0; i < 16; ++i) {
+    for (int j = 0; j < 16; ++j) t[i + j] += a[i] * b[j];
+  }
+  for (int i = 0; i < 15; ++i) t[i] += 38 * t[i + 16];
+  for (int i = 0; i < 16; ++i) o[i] = t[i];
+  Carry(o);
+  Carry(o);
+}
+
+void Square(Gf o, const Gf a) { Mul(o, a, a); }
+
+void Invert(Gf o, const Gf in) {
+  Gf c;
+  for (int i = 0; i < 16; ++i) c[i] = in[i];
+  // Fermat inversion: exponent 2^255 - 21 (all ones except bits 2 and 4).
+  for (int a = 253; a >= 0; --a) {
+    Square(c, c);
+    if (a != 2 && a != 4) Mul(c, c, in);
+  }
+  for (int i = 0; i < 16; ++i) o[i] = c[i];
+}
+
+X25519Key X25519(const X25519Key& scalar, const X25519Key& point) {
+  uint8_t z[32];
+  std::memcpy(z, scalar.data(), 32);
+  z[0] &= 248;
+  z[31] = (z[31] & 127) | 64;
+
+  Gf x;
+  Unpack(x, point.data());
+
+  Gf a, b, c, d, e, f;
+  for (int i = 0; i < 16; ++i) {
+    b[i] = x[i];
+    a[i] = c[i] = d[i] = 0;
+  }
+  a[0] = d[0] = 1;
+
+  for (int i = 254; i >= 0; --i) {
+    int64_t r = (z[i >> 3] >> (i & 7)) & 1;
+    Swap(a, b, r);
+    Swap(c, d, r);
+    Add(e, a, c);
+    Sub(a, a, c);
+    Add(c, b, d);
+    Sub(b, b, d);
+    Square(d, e);
+    Square(f, a);
+    Mul(a, c, a);
+    Mul(c, b, e);
+    Add(e, a, c);
+    Sub(a, a, c);
+    Square(b, a);
+    Sub(c, d, f);
+    Mul(a, c, k121665);
+    Add(a, a, d);
+    Mul(c, c, a);
+    Mul(a, d, f);
+    Mul(d, b, x);
+    Square(b, e);
+    Swap(a, b, r);
+    Swap(c, d, r);
+  }
+
+  Invert(c, c);
+  Mul(a, a, c);
+  X25519Key out;
+  Pack(out.data(), a);
+  return out;
+}
+}  // namespace tweetnacl
+
 TEST(X25519Test, Rfc7748Vector1) {
   auto scalar = KeyFromHex(
       "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
@@ -913,6 +1055,41 @@ TEST(X25519Test, Rfc7748Vector2) {
   auto out = X25519(scalar, point);
   EXPECT_EQ(HexEncode(ByteSpan(out.data(), out.size())),
             "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957");
+}
+
+// RFC 7748 §5.2: k = u = 9, then (k, u) = (X25519(k, u), k) per iteration.
+TEST(X25519Test, Rfc7748IteratedVector) {
+  X25519Key k = KeyFromHex("09");
+  X25519Key u = k;
+  for (int i = 1; i <= 1000; ++i) {
+    X25519Key next = X25519(k, u);
+    u = k;
+    k = next;
+    if (i == 1) {
+      EXPECT_EQ(KeyHex(k),
+                "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079");
+    }
+  }
+  EXPECT_EQ(KeyHex(k),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
+}
+
+// RFC 7748 §5: the top bit of u is masked, and a non-canonical u (in
+// [p, 2^255)) is accepted and reduced mod p.
+TEST(X25519Test, Rfc7748InputHandling) {
+  auto scalar = KeyFromHex(
+      "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
+  auto point = KeyFromHex(
+      "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c");
+  X25519Key high = point;
+  high[31] |= 0x80;
+  EXPECT_EQ(KeyHex(X25519(scalar, high)), KeyHex(X25519(scalar, point)));
+
+  X25519Key nine = KeyFromHex("09");
+  X25519Key nine_plus_p = KeyFromHex(
+      "f6ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  EXPECT_EQ(KeyHex(X25519(scalar, nine_plus_p)), KeyHex(X25519(scalar, nine)));
+  EXPECT_EQ(KeyHex(X25519(scalar, nine)), KeyHex(X25519Base(scalar)));
 }
 
 TEST(X25519Test, Rfc7748DiffieHellman) {
@@ -947,11 +1124,54 @@ TEST(X25519Test, GeneratedPairsAgree) {
   }
 }
 
+// Every u-coordinate of small order: a clamped scalar is a multiple of the
+// cofactor 8, so each maps to the all-zero output the contributory check
+// refuses.
 TEST(X25519Test, RejectsLowOrderPoint) {
   auto kp = GenerateX25519KeyPair();
-  X25519Key zero{};
-  auto r = X25519SharedSecret(kp.private_key, zero);
-  EXPECT_FALSE(r.ok());
+  for (std::string_view u : {
+           "00",                                                                // 0
+           "01",                                                                // 1
+           "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // p - 1
+           "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // p
+           "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",  // p + 1
+           "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",  // order 8
+           "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",  // order 8
+       }) {
+    auto r = X25519SharedSecret(kp.private_key, KeyFromHex(u));
+    EXPECT_FALSE(r.ok()) << u;
+  }
+}
+
+// Bit-for-bit agreement with the TweetNaCl ladder on seeded random inputs:
+// a quarter of the u-coordinates are non-canonical (p + [0, 19), bit 255
+// clear), a quarter have bit 255 set, and half are random 255-bit values.
+TEST(X25519Test, MatchesTweetNaclReference) {
+  Rng rng(0x25519);
+  constexpr int kCases = 256;
+  for (int i = 0; i < kCases; ++i) {
+    X25519Key scalar{};
+    X25519Key u{};
+    Bytes s = rng.NextBytes(32);
+    Bytes r = rng.NextBytes(32);
+    std::copy(s.begin(), s.end(), scalar.begin());
+    std::copy(r.begin(), r.end(), u.begin());
+    switch (i % 4) {
+      case 0:  // u = p + j, j in [0, 19)
+        u.fill(0xff);
+        u[0] = static_cast<uint8_t>(0xed + rng.UniformUint64(19));
+        u[31] = 0x7f;
+        break;
+      case 1:
+        u[31] |= 0x80;
+        break;
+      default:
+        u[31] &= 0x7f;
+        break;
+    }
+    ASSERT_EQ(KeyHex(X25519(scalar, u)), KeyHex(tweetnacl::X25519(scalar, u)))
+        << "case " << i << " scalar " << KeyHex(scalar) << " u " << KeyHex(u);
+  }
 }
 
 // ---------------------------------------------------------------- Random / key

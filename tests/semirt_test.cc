@@ -380,6 +380,23 @@ TEST_F(SemirtTest, NativeModeRelaunchesEnclave) {
   EXPECT_EQ(stats.key_fetches, 2u);  // fresh enclave implies fresh attestation
 }
 
+// Every relaunch attests again; the replaced link and, at teardown, the
+// instance must each hand their KeyService session back.
+TEST_F(SemirtTest, NativeRelaunchDisconnectsEachKeyServiceSession) {
+  SemirtOptions options;
+  options.mode = RuntimeMode::kNative;
+  Authorize("m0", options);
+  const size_t fixture_sessions = keyservice_->active_sessions();
+  {
+    auto instance = MakeInstance(options);
+    ASSERT_TRUE(instance.ok());
+    ASSERT_TRUE(RunRequest(instance->get(), "m0").ok());
+    ASSERT_TRUE(RunRequest(instance->get(), "m0").ok());
+    EXPECT_EQ(keyservice_->active_sessions(), fixture_sessions + 1);
+  }
+  EXPECT_EQ(keyservice_->active_sessions(), fixture_sessions);
+}
+
 TEST_F(SemirtTest, UntrustedModeRunsPlaintext) {
   SemirtOptions options;
   options.mode = RuntimeMode::kUntrusted;
