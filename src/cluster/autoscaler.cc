@@ -2,9 +2,15 @@
 
 namespace sesemi::cluster {
 
+namespace {
+/// What one interactive (RT-class) queued request counts for in the backlog,
+/// relative to a bulk one (see the class comment).
+constexpr double kInteractiveBacklogWeight = 4.0;
+}  // namespace
+
 ScaleDecision Autoscaler::Tick(const std::vector<NodeLoadSample>& active) {
   stats_.ticks++;
-  if (!config_.enabled || active.empty()) return ScaleDecision::kHold;
+  if (active.empty()) return ScaleDecision::kHold;
   if (cooldown_remaining_ > 0) {
     cooldown_remaining_--;
     stats_.cooldown_holds++;
@@ -18,10 +24,8 @@ ScaleDecision Autoscaler::Tick(const std::vector<NodeLoadSample>& active) {
     // interactive_depth is a subset of queue_depth, so the weight applies
     // as a surcharge on top of the class-blind count.
     backlog += static_cast<double>(sample.queue_depth);
-    if (config_.interactive_backlog_weight > 1.0) {
-      backlog += (config_.interactive_backlog_weight - 1.0) *
-                 static_cast<double>(sample.interactive_depth);
-    }
+    backlog += (kInteractiveBacklogWeight - 1.0) *
+               static_cast<double>(sample.interactive_depth);
     degraded |= sample.enclave_failures_delta >= config_.degraded_failures_per_tick;
     rt_busy |= sample.rt_busy_lanes > 0;
   }
@@ -36,7 +40,7 @@ ScaleDecision Autoscaler::Tick(const std::vector<NodeLoadSample>& active) {
   }
   if (per_node < config_.scale_down_backlog_per_node && !degraded &&
       n > config_.min_nodes) {
-    if (rt_busy && config_.rt_busy_vetoes_scale_down) {
+    if (rt_busy) {
       stats_.rt_vetoes++;
       return ScaleDecision::kHold;
     }

@@ -10,7 +10,6 @@ namespace sesemi::cluster {
 /// and scale-down thresholds are far apart and every decision starts a
 /// cooldown, so a bursty MMPP workload does not flap the membership.
 struct AutoscaleConfig {
-  bool enabled = true;
   /// Add a node when the mean scheduler backlog per active node exceeds
   /// this (requests queued, from ServerlessPlatform::queue_depth()).
   double scale_up_backlog_per_node = 8.0;
@@ -22,15 +21,6 @@ struct AutoscaleConfig {
   /// (capacity is about to relaunch, not idle) and count toward scale-up
   /// pressure.
   uint64_t degraded_failures_per_tick = 2;
-  /// Interactive (RT-class) backlog counts this many times a bulk request
-  /// toward scale-up pressure: latency-class work queued behind busy lanes
-  /// is a stronger capacity signal than coalescible bulk depth. 1.0 =
-  /// class-blind (the pre-tier behaviour).
-  double interactive_backlog_weight = 4.0;
-  /// When any node reports busy RT lanes, veto scale-down: the tier is
-  /// serving latency-sensitive work right now, and removing a node would
-  /// rebalance interactive traffic onto colder warm pools.
-  bool rt_busy_vetoes_scale_down = true;
   int min_nodes = 1;
   /// 0 = no limit beyond the dataplane's standby pool.
   int max_nodes = 0;
@@ -64,7 +54,14 @@ struct AutoscalerStats {
 
 /// Stats-driven autoscaler: pure policy, no side effects. The dataplane
 /// feeds it per-node samples each AutoscaleTick and applies the decision
-/// (activate a standby node / drain an active one).
+/// (activate a standby node / drain an active one); a dataplane that never
+/// ticks it does not autoscale.
+///
+/// Two rules weigh the RT tier. Interactive (RT-class) backlog counts four
+/// times a bulk request toward scale-up pressure, since latency-class work
+/// queued behind busy lanes is a stronger capacity signal than coalescible
+/// bulk depth. Busy RT lanes on any node veto scale-down, since removing a
+/// node would rebalance interactive traffic onto colder warm pools.
 ///
 /// \threadsafety Not thread-safe; the dataplane serializes ticks.
 class Autoscaler {

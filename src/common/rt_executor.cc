@@ -32,12 +32,21 @@ RtExecutor::~RtExecutor() {
   stop_.store(true, std::memory_order_release);
   // One token per lane. A lane exits at the first token it takes after the
   // stop store, so every parked lane wakes and untaken tokens are dropped.
-  doorbell_.release(static_cast<std::ptrdiff_t>(threads_.size()));
+  doorbell_.fetch_add(static_cast<int>(threads_.size()));
+  doorbell_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
 void RtExecutor::Kick(int n) {
-  if (n > 0) doorbell_.release(n);
+  if (n <= 0) return;
+  // seq_cst, so a lane about to wait either reads the new count or is seen
+  // as a waiter by the notify.
+  doorbell_.fetch_add(n);
+  if (n == 1) {
+    doorbell_.notify_one();
+  } else {
+    doorbell_.notify_all();
+  }
 }
 
 void RtExecutor::ApplyLaneScheduling(int lane) {
@@ -92,8 +101,15 @@ void RtExecutor::LaneLoop(int lane) {
   lanes_started_.fetch_add(1, std::memory_order_release);
 
   for (;;) {
-    // Block at once: a lane never spins (see the header).
-    doorbell_.acquire();
+    // Take one token, blocking at once while there is none: a lane never
+    // spins, and it sleeps only against the 0 it read (see the header).
+    int tokens = doorbell_.load();
+    do {
+      while (tokens == 0) {
+        doorbell_.wait(0);
+        tokens = doorbell_.load();
+      }
+    } while (!doorbell_.compare_exchange_weak(tokens, tokens - 1));
     if (stop_.load(std::memory_order_acquire)) return;
     busy_lanes_.fetch_add(1, std::memory_order_relaxed);
     pump_(arg_, lane);

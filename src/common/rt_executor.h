@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <semaphore>
 #include <thread>
 #include <vector>
 
@@ -15,17 +14,26 @@ namespace sesemi {
 /// The real-time execution tier (docs/ARCHITECTURE.md "Execution tiers"):
 /// a small set of dedicated inference lanes for the latency-sensitive
 /// priority classes, following the AARI real-time inference-thread pattern
-/// (a high-priority thread fed through a semaphore, never a mutex on the
-/// signalling path).
+/// (a high-priority thread fed through a counted doorbell, never a mutex on
+/// the signalling path).
 ///
 /// Design:
 ///  - The lanes are bound to one pump when they are built. The caller keeps
 ///    the queue (the platform's scheduler classes); the executor keeps only
-///    a counting-semaphore doorbell (futex-backed on Linux). Kick(n) releases
-///    n tokens, and a lane takes one token, runs `pump(arg, lane)` once and
-///    repeats. Kick performs ZERO heap allocations (probe-tested), never
-///    blocks and cannot fill.
-///  - A lane with no token blocks on the semaphore, so an idle lane burns no
+///    a doorbell: an atomic token count (futex-backed on Linux). Kick(n)
+///    adds n tokens, and a lane takes one token, runs `pump(arg, lane)` once
+///    and repeats. Kick performs ZERO heap allocations (probe-tested), takes
+///    no lock, never blocks and cannot fill.
+///  - A lane takes a token by CAS-decrementing a positive count and blocks
+///    only after it has read 0: the atomic wait compares against that 0 in
+///    the futex call itself, so a token added meanwhile is never slept
+///    through. The doorbell is not a std::counting_semaphore, because
+///    libstdc++ 12's semaphore can sleep through one: its release notifies
+///    only when the count was 0, and its acquire sleeps against the count it
+///    loaded before spinning. With two or more lanes, another lane can take
+///    the token that count showed, leaving this lane asleep on a nonzero
+///    count that no notify will follow.
+///  - A lane with no token blocks on the doorbell, so an idle lane burns no
 ///    CPU. Lanes never spin: spinning FIFO lanes that share a core only
 ///    yield to each other, and spinning at SCHED_FIFO runs into the kernel's
 ///    RT throttle, which stalls the whole core.
@@ -78,7 +86,7 @@ class RtExecutor {
   RtExecutor(const RtExecutor&) = delete;
   RtExecutor& operator=(const RtExecutor&) = delete;
 
-  /// Release `n` doorbell tokens: the pump runs once per token, on whichever
+  /// Add `n` doorbell tokens: the pump runs once per token, on whichever
   /// lane takes it. Lock-free, allocation-free, non-blocking.
   void Kick(int n = 1);
 
@@ -96,7 +104,8 @@ class RtExecutor {
   PumpFn pump_;
   void* arg_;
 
-  std::counting_semaphore<> doorbell_{0};
+  /// Tokens not yet taken by a lane (see the header comment).
+  std::atomic<int> doorbell_{0};
   std::atomic<bool> stop_{false};
 
   std::atomic<int> busy_lanes_{0};

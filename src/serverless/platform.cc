@@ -59,7 +59,7 @@ ServerlessPlatform::ServerlessPlatform(const PlatformConfig& config,
       retry_backoff_(config.recovery.retry.backoff_base_micros,
                      config.recovery.retry.backoff_max_micros,
                      // Distinct stream from the relaunch gate's jitter.
-                     config.recovery.backoff_seed ^ 0x9e3779b97f4a7c15ULL),
+                     kBackoffSeed ^ 0x9e3779b97f4a7c15ULL),
       scheduler_(WithDefaultLimits(config.scheduler, config), clock_) {
   window_limit_ = WindowLimitFor(config_);
   if (config_.rt.enabled) {

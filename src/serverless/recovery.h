@@ -35,10 +35,13 @@ struct RecoveryConfig {
   int relaunch_max_attempts = 8;
   TimeMicros relaunch_backoff_base_micros = 2000;
   TimeMicros relaunch_backoff_max_micros = SecondsToMicros(2);
-  /// Seed for backoff jitter (deterministic; never wall-clock).
-  uint64_t backoff_seed = 0x5e5e313ULL;
   RetryPolicy retry;
 };
+
+/// Seed for the relaunch gate's backoff jitter (deterministic; never
+/// wall-clock). The platform's retry backoff draws from a stream mixed off
+/// the same seed.
+inline constexpr uint64_t kBackoffSeed = 0x5e5e313ULL;
 
 /// An error that poisons the enclave: internal invariants or data integrity
 /// are gone, so the enclave must be torn down and relaunched. Resource
@@ -88,7 +91,7 @@ class RelaunchGate {
   RelaunchGate(const RecoveryConfig& config)
       : config_(config),
         backoff_(config.relaunch_backoff_base_micros,
-                 config.relaunch_backoff_max_micros, config.backoff_seed) {}
+                 config.relaunch_backoff_max_micros, kBackoffSeed) {}
 
   /// OK to attempt a launch now; kUnavailable while backing off or after
   /// the attempt budget is exhausted.

@@ -223,6 +223,7 @@ TEST(AutoscalerTest, ScalesDownWhenIdleButRespectsMinNodes) {
   Autoscaler scaler(config);
   EXPECT_EQ(scaler.Tick({Sample(0, 0), Sample(1, 0)}), ScaleDecision::kDown);
   EXPECT_EQ(scaler.Tick({Sample(0, 0)}), ScaleDecision::kHold);  // at min
+  EXPECT_EQ(scaler.Tick({}), ScaleDecision::kHold);  // no active node
   EXPECT_EQ(scaler.stats().downs, 1u);
 }
 
@@ -244,14 +245,6 @@ TEST(AutoscalerTest, MaxNodesCapsScaleUp) {
   Autoscaler scaler(config);
   EXPECT_EQ(scaler.Tick({Sample(0, 100), Sample(1, 100)}), ScaleDecision::kHold);
   EXPECT_EQ(scaler.Tick({Sample(0, 100)}), ScaleDecision::kUp);
-}
-
-TEST(AutoscalerTest, DisabledAlwaysHolds) {
-  AutoscaleConfig config;
-  config.enabled = false;
-  Autoscaler scaler(config);
-  EXPECT_EQ(scaler.Tick({Sample(0, 1000)}), ScaleDecision::kHold);
-  EXPECT_EQ(scaler.Tick({}), ScaleDecision::kHold);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 // RT execution-tier tests: one pump call per doorbell token (single and
 // multi-producer; the TSan leg runs these), lane identity and tier
-// propagation, the zero-allocation Kick guarantee (enforced by a global
-// operator-new probe, not assumed), graceful degradation when
-// pinning/priority syscalls fail (the normal outcome in an unprivileged CI
-// container), ParallelFor collapsing to inline execution on a lane, and an
-// idle lane blocking instead of burning CPU.
+// propagation, every lane of a multi-lane executor waking for its token,
+// the zero-allocation Kick guarantee (enforced by a global operator-new
+// probe, not assumed), graceful degradation when pinning/priority syscalls
+// fail (the normal outcome in an unprivileged CI container), ParallelFor
+// collapsing to inline execution on a lane, and an idle lane blocking
+// instead of burning CPU.
 #include <gtest/gtest.h>
 
 #include <time.h>
@@ -129,6 +130,36 @@ TEST(RtExecutorTest, PumpSeesItsLaneAndTheRealtimeTier) {
   }
   EXPECT_EQ(probe.out_of_range.load(), 0);
   EXPECT_EQ(probe.not_realtime.load(), 0);
+}
+
+// Every lane of a multi-lane executor wakes for its own token. Each round
+// kicks four single tokens at four idle lanes, and each pump holds its lane
+// until all four lanes are inside the pump, so a round ends only if every
+// lane woke for its token; a lane that slept through one hangs the test.
+TEST(RtExecutorTest, EveryLaneWakesForItsSingleKick) {
+  constexpr int kLanes = 4;
+  constexpr int kRounds = 50;
+  struct Probe {
+    std::atomic<int> entered{0};
+
+    static void Pump(void* arg, int) {
+      auto* p = static_cast<Probe*>(arg);
+      const int ticket = p->entered.fetch_add(1, std::memory_order_acq_rel);
+      const int round_end = (ticket / kLanes + 1) * kLanes;
+      while (p->entered.load(std::memory_order_acquire) < round_end) {
+        std::this_thread::yield();
+      }
+    }
+  } probe;
+  RtExecutorConfig config = PlainConfig();
+  config.num_lanes = kLanes;
+  RtExecutor exec(config, &Probe::Pump, &probe);
+
+  for (int round = 1; round <= kRounds; ++round) {
+    for (int i = 0; i < kLanes; ++i) exec.Kick();
+    WaitExecuted(exec, static_cast<uint64_t>(round * kLanes));
+  }
+  EXPECT_EQ(probe.entered.load(), kRounds * kLanes);
 }
 
 TEST(RtExecutorTest, KickPerformsZeroHeapAllocations) {

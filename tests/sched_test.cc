@@ -2,12 +2,30 @@
 
 #include <array>
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "sched/scheduler.h"
+
+// Allocation probe: counts every global operator new in the test binary so
+// the pop's allocation budget is measured, not documented.
+static std::atomic<uint64_t> g_allocs{0};
+
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sesemi::sched {
 namespace {
@@ -24,35 +42,61 @@ QueuedRequest Make(const std::string& function, const std::string& model = "m0",
   return r;
 }
 
-/// Pops one unit from `queue` into *out; the FairQueueTest functions do not
-/// batch, so every unit is one request.
-bool PopOne(FairQueue& queue, QueuedRequest* out) {
-  ManualClock clock;
+/// Pops one unit from `scheduler` into *out; the PolicyOrderTest functions
+/// do not batch, so every unit is one request.
+bool PopOne(RequestScheduler& scheduler, QueuedRequest* out) {
   std::vector<QueuedRequest> expired;
-  std::vector<QueuedRequest> unit = queue.PopUnit(kAllClasses, clock, &expired);
+  std::vector<QueuedRequest> unit = scheduler.PopBatch(&expired);
   if (unit.empty()) return false;
   *out = std::move(unit.front());
   return true;
 }
 
-TEST(TokenBucketTest, RejectsBeyondBurstThenRefills) {
-  TokenBucket bucket(/*rate_per_s=*/10.0, /*burst=*/5.0);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(bucket.TryAcquire(0)) << i;
-  EXPECT_FALSE(bucket.TryAcquire(0));  // burst exhausted
+/// Submits `request` with the scheduler's clock set to `now`.
+Status SubmitAt(RequestScheduler& scheduler, ManualClock& clock,
+                QueuedRequest request, TimeMicros now) {
+  clock.Set(now);
+  return scheduler.Submit(std::move(request), 0).status();
+}
+
+RequestScheduler MakeScheduler(PolicyKind kind, ManualClock* clock) {
+  SchedulerConfig config;
+  config.policy = kind;
+  return RequestScheduler(config, clock);
+}
+
+TEST(RateLimitTest, RejectsBeyondBurstThenRefills) {
+  ManualClock clock;
+  RequestScheduler scheduler(SchedulerConfig{}, &clock);
+  FunctionSchedParams params;
+  params.rate_per_s = 10.0;
+  params.burst = 5.0;
+  ASSERT_TRUE(scheduler.RegisterFunction("f", params).ok());
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(SubmitAt(scheduler, clock, Make("f"), 0).ok()) << i;
+  }
+  EXPECT_FALSE(SubmitAt(scheduler, clock, Make("f"), 0).ok());  // burst exhausted
 
   // 100 ms at 10 rps refills exactly one token.
-  EXPECT_TRUE(bucket.TryAcquire(100000));
-  EXPECT_FALSE(bucket.TryAcquire(100000));
+  EXPECT_TRUE(SubmitAt(scheduler, clock, Make("f"), 100000).ok());
+  EXPECT_FALSE(SubmitAt(scheduler, clock, Make("f"), 100000).ok());
 
   // Refill caps at the burst: a long idle period grants 5 tokens, not 50.
   const TimeMicros later = SecondsToMicros(100);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(bucket.TryAcquire(later)) << i;
-  EXPECT_FALSE(bucket.TryAcquire(later));
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(SubmitAt(scheduler, clock, Make("f"), later).ok()) << i;
+  }
+  EXPECT_FALSE(SubmitAt(scheduler, clock, Make("f"), later).ok());
+  EXPECT_EQ(scheduler.admission_counters().rejected_rate.Value(), 3u);
 }
 
-TEST(TokenBucketTest, ZeroRateIsUnlimited) {
-  TokenBucket bucket(0.0, 0.0);
-  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(bucket.TryAcquire(0));
+TEST(RateLimitTest, ZeroRateIsUnlimited) {
+  ManualClock clock;
+  RequestScheduler scheduler(SchedulerConfig{}, &clock);
+  ASSERT_TRUE(scheduler.RegisterFunction("f", {}).ok());  // rate 0, burst 0
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(SubmitAt(scheduler, clock, Make("f"), 0).ok());
+  }
 }
 
 TEST(AdmissionTest, PerFunctionDepthCapRejectsUnavailable) {
@@ -102,44 +146,46 @@ TEST(AdmissionTest, UnknownFunctionIsNotFound) {
   EXPECT_TRUE(admission.Submit(Make("ghost"), 0).status().IsNotFound());
 }
 
-TEST(FairQueueTest, FifoPopsInGlobalArrivalOrder) {
-  FairQueue queue(PolicyKind::kFifo);
-  ASSERT_TRUE(queue.RegisterFunction("a", {}).ok());
-  ASSERT_TRUE(queue.RegisterFunction("b", {}).ok());
+TEST(PolicyOrderTest, FifoPopsInGlobalArrivalOrder) {
+  ManualClock clock;
+  RequestScheduler scheduler = MakeScheduler(PolicyKind::kFifo, &clock);
+  ASSERT_TRUE(scheduler.RegisterFunction("a", {}).ok());
+  ASSERT_TRUE(scheduler.RegisterFunction("b", {}).ok());
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(queue.Enqueue(Make(i % 2 ? "b" : "a"), i).ok());
+    ASSERT_TRUE(SubmitAt(scheduler, clock, Make(i % 2 ? "b" : "a"), i).ok());
   }
   uint64_t last_seq = 0;
   for (int i = 0; i < 10; ++i) {
     QueuedRequest r;
-    ASSERT_TRUE(PopOne(queue, &r));
+    ASSERT_TRUE(PopOne(scheduler, &r));
     if (i > 0) EXPECT_GT(r.seq, last_seq) << "FIFO must follow arrival order";
     EXPECT_EQ(r.dispatch_seq, static_cast<uint64_t>(i));
     last_seq = r.seq;
   }
   QueuedRequest r;
-  EXPECT_FALSE(PopOne(queue, &r));
+  EXPECT_FALSE(PopOne(scheduler, &r));
 }
 
-TEST(FairQueueTest, WeightedFairRatioUnderSaturation) {
-  FairQueue queue(PolicyKind::kWeightedFair);
+TEST(PolicyOrderTest, WeightedFairRatioUnderSaturation) {
+  ManualClock clock;
+  RequestScheduler scheduler = MakeScheduler(PolicyKind::kWeightedFair, &clock);
   FunctionSchedParams heavy;
   heavy.weight = 2.0;
   FunctionSchedParams light;
   light.weight = 1.0;
-  ASSERT_TRUE(queue.RegisterFunction("heavy", heavy).ok());
-  ASSERT_TRUE(queue.RegisterFunction("light", light).ok());
+  ASSERT_TRUE(scheduler.RegisterFunction("heavy", heavy).ok());
+  ASSERT_TRUE(scheduler.RegisterFunction("light", light).ok());
 
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(queue.Enqueue(Make("heavy"), i).ok());
-    ASSERT_TRUE(queue.Enqueue(Make("light"), i).ok());
+    ASSERT_TRUE(SubmitAt(scheduler, clock, Make("heavy"), i).ok());
+    ASSERT_TRUE(SubmitAt(scheduler, clock, Make("light"), i).ok());
   }
   // Both stay backlogged for the first 300 pops; service there must follow
   // the 2:1 weights.
   int heavy_count = 0, light_count = 0;
   for (int i = 0; i < 300; ++i) {
     QueuedRequest r;
-    ASSERT_TRUE(PopOne(queue, &r));
+    ASSERT_TRUE(PopOne(scheduler, &r));
     (r.function == "heavy" ? heavy_count : light_count)++;
   }
   ASSERT_GT(light_count, 0);
@@ -147,70 +193,78 @@ TEST(FairQueueTest, WeightedFairRatioUnderSaturation) {
   EXPECT_NEAR(ratio, 2.0, 0.3) << heavy_count << ":" << light_count;
 }
 
-TEST(FairQueueTest, LowWeightFunctionIsNotStarved) {
-  FairQueue queue(PolicyKind::kWeightedFair);
+TEST(PolicyOrderTest, LowWeightFunctionIsNotStarved) {
+  ManualClock clock;
+  RequestScheduler scheduler = MakeScheduler(PolicyKind::kWeightedFair, &clock);
   FunctionSchedParams huge;
   huge.weight = 100.0;
-  ASSERT_TRUE(queue.RegisterFunction("huge", huge).ok());
-  ASSERT_TRUE(queue.RegisterFunction("tiny", {}).ok());  // weight 1
+  ASSERT_TRUE(scheduler.RegisterFunction("huge", huge).ok());
+  ASSERT_TRUE(scheduler.RegisterFunction("tiny", {}).ok());  // weight 1
 
-  for (int i = 0; i < 400; ++i) ASSERT_TRUE(queue.Enqueue(Make("huge"), i).ok());
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(queue.Enqueue(Make("tiny"), i).ok());
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(SubmitAt(scheduler, clock, Make("huge"), i).ok());
+  }
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(SubmitAt(scheduler, clock, Make("tiny"), i).ok());
+  }
 
   // Within 102 pops (one virtual-time unit at weight 100 + slack) the tiny
   // function must receive service: finish tags bound its wait.
   bool tiny_served = false;
   for (int i = 0; i < 102 && !tiny_served; ++i) {
     QueuedRequest r;
-    ASSERT_TRUE(PopOne(queue, &r));
+    ASSERT_TRUE(PopOne(scheduler, &r));
     tiny_served = r.function == "tiny";
   }
   EXPECT_TRUE(tiny_served) << "low-weight function starved";
 }
 
-TEST(FairQueueTest, EdfPopsEarliestDeadlineFirst) {
-  FairQueue queue(PolicyKind::kDeadlineEdf);
-  ASSERT_TRUE(queue.RegisterFunction("a", {}).ok());
-  ASSERT_TRUE(queue.RegisterFunction("b", {}).ok());
-  ASSERT_TRUE(queue.Enqueue(Make("a", "m0", "u0", -1, 5000), 0).ok());
-  ASSERT_TRUE(queue.Enqueue(Make("b", "m0", "u0", -1, 1000), 0).ok());
-  ASSERT_TRUE(queue.Enqueue(Make("a", "m0", "u0", -1, 3000), 0).ok());
-  ASSERT_TRUE(queue.Enqueue(Make("b", "m0", "u0", -1, kNoDeadline), 0).ok());
+TEST(PolicyOrderTest, EdfPopsEarliestDeadlineFirst) {
+  ManualClock clock;
+  RequestScheduler scheduler = MakeScheduler(PolicyKind::kDeadlineEdf, &clock);
+  ASSERT_TRUE(scheduler.RegisterFunction("a", {}).ok());
+  ASSERT_TRUE(scheduler.RegisterFunction("b", {}).ok());
+  ASSERT_TRUE(SubmitAt(scheduler, clock, Make("a", "m0", "u0", -1, 5000), 0).ok());
+  ASSERT_TRUE(SubmitAt(scheduler, clock, Make("b", "m0", "u0", -1, 1000), 0).ok());
+  ASSERT_TRUE(SubmitAt(scheduler, clock, Make("a", "m0", "u0", -1, 3000), 0).ok());
+  ASSERT_TRUE(SubmitAt(scheduler, clock, Make("b", "m0", "u0", -1, kNoDeadline), 0).ok());
 
   TimeMicros last = 0;
   for (int i = 0; i < 4; ++i) {
     QueuedRequest r;
-    ASSERT_TRUE(PopOne(queue, &r));
+    ASSERT_TRUE(PopOne(scheduler, &r));
     EXPECT_GE(r.deadline, last);
     last = r.deadline;
   }
   EXPECT_EQ(last, kNoDeadline);  // deadline-less work runs last
 }
 
-TEST(FairQueueTest, DefaultSlackAssignsDeadlines) {
-  FairQueue queue(PolicyKind::kDeadlineEdf);
+TEST(PolicyOrderTest, DefaultSlackAssignsDeadlines) {
+  ManualClock clock;
+  RequestScheduler scheduler = MakeScheduler(PolicyKind::kDeadlineEdf, &clock);
   FunctionSchedParams params;
   params.default_slack = 2000;
-  ASSERT_TRUE(queue.RegisterFunction("a", params).ok());
-  ASSERT_TRUE(queue.Enqueue(Make("a"), 1000).ok());
+  ASSERT_TRUE(scheduler.RegisterFunction("a", params).ok());
+  ASSERT_TRUE(SubmitAt(scheduler, clock, Make("a"), 1000).ok());
   QueuedRequest r;
-  ASSERT_TRUE(PopOne(queue, &r));
+  ASSERT_TRUE(PopOne(scheduler, &r));
   EXPECT_EQ(r.deadline, 3000);
 }
 
-TEST(FairQueueTest, PriorityClassesAreStrict) {
-  FairQueue queue(PolicyKind::kFifo);
-  ASSERT_TRUE(queue.RegisterFunction("a", {}).ok());
-  ASSERT_TRUE(queue.Enqueue(Make("a", "m0", "u0", /*priority=*/2), 0).ok());
-  ASSERT_TRUE(queue.Enqueue(Make("a", "m0", "u0", /*priority=*/1), 1).ok());
-  ASSERT_TRUE(queue.Enqueue(Make("a", "m0", "u0", /*priority=*/0), 2).ok());
+TEST(PolicyOrderTest, PriorityClassesAreStrict) {
+  ManualClock clock;
+  RequestScheduler scheduler = MakeScheduler(PolicyKind::kFifo, &clock);
+  ASSERT_TRUE(scheduler.RegisterFunction("a", {}).ok());
+  ASSERT_TRUE(SubmitAt(scheduler, clock, Make("a", "m0", "u0", /*priority=*/2), 0).ok());
+  ASSERT_TRUE(SubmitAt(scheduler, clock, Make("a", "m0", "u0", /*priority=*/1), 1).ok());
+  ASSERT_TRUE(SubmitAt(scheduler, clock, Make("a", "m0", "u0", /*priority=*/0), 2).ok());
 
   QueuedRequest r;
-  ASSERT_TRUE(PopOne(queue, &r));
+  ASSERT_TRUE(PopOne(scheduler, &r));
   EXPECT_EQ(r.priority, 0);  // latest arrival, highest class, first out
-  ASSERT_TRUE(PopOne(queue, &r));
+  ASSERT_TRUE(PopOne(scheduler, &r));
   EXPECT_EQ(r.priority, 1);
-  ASSERT_TRUE(PopOne(queue, &r));
+  ASSERT_TRUE(PopOne(scheduler, &r));
   EXPECT_EQ(r.priority, 2);
 }
 
@@ -452,10 +506,6 @@ TEST(SchedulerConcurrencyTest, MultiProducerMultiConsumerStress) {
 
   EXPECT_EQ(scheduler.counters().dispatched.Value(),
             static_cast<uint64_t>(dispatched.load()));
-  for (const FunctionQueueStats& f : scheduler.PerFunctionStats()) {
-    EXPECT_EQ(f.enqueued, f.dispatched) << f.function;
-    EXPECT_EQ(f.depth, 0u) << f.function;
-  }
 }
 
 /// Under the Fifo policy, dispatch order must equal admission order even with
@@ -615,6 +665,50 @@ TEST(SchedulerTest, MaskedPopBatchShedsExpiredDeadlines) {
   EXPECT_EQ(expired[0].deadline, 100);
   EXPECT_EQ(batch[0].deadline, SecondsToMicros(10));
   EXPECT_EQ(scheduler.counters().drops.Value(), 1u);
+}
+
+/// A pop's only allocation is its unit's vector: one per non-empty unit under
+/// every policy, and none for an empty pop, masked or not.
+TEST(SchedulerTest, PopAllocatesOnlyItsUnit) {
+  for (PolicyKind kind :
+       {PolicyKind::kFifo, PolicyKind::kWeightedFair, PolicyKind::kDeadlineEdf}) {
+    SCOPED_TRACE(ToString(kind));
+    ManualClock clock;
+    RequestScheduler scheduler = MakeScheduler(kind, &clock);
+    FunctionSchedParams interactive;
+    interactive.priority = 0;
+    FunctionSchedParams bulk;
+    bulk.priority = 1;
+    bulk.max_batch = 4;
+    ASSERT_TRUE(scheduler.RegisterFunction("interactive", interactive).ok());
+    ASSERT_TRUE(scheduler.RegisterFunction("bulk", bulk).ok());
+    for (int i = 0; i < 8; ++i) {
+      const TimeMicros deadline = SecondsToMicros(1) + i;  // none expires
+      ASSERT_TRUE(
+          scheduler.Submit(Make("interactive", "m0", "u0", -1, deadline), 0).ok());
+      ASSERT_TRUE(scheduler.Submit(Make("bulk"), 0).ok());
+    }
+
+    std::vector<QueuedRequest> expired;
+    uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    // Masked away from both queued classes: empty, like a drained pop.
+    EXPECT_TRUE(scheduler.PopBatch(ClassMaskOf(2), &expired).empty());
+    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), before);
+
+    uint64_t units = 0;
+    before = g_allocs.load(std::memory_order_relaxed);
+    while (!scheduler.PopBatch(&expired).empty()) ++units;
+    EXPECT_EQ(units, 8u + 2u);  // 8 interactive units of one, 2 bulk of four
+    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, units);
+
+    before = g_allocs.load(std::memory_order_relaxed);
+    for (int i = 0; i < 1000; ++i) {
+      const ClassMask classes = i % 2 ? kAllClasses : ClassMaskOf(0);
+      EXPECT_TRUE(scheduler.PopBatch(classes, nullptr).empty());
+    }
+    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), before);
+    EXPECT_TRUE(expired.empty());
+  }
 }
 
 TEST(SchedulerTest, CoalesceKeepsPerClassDepthConsistent) {
